@@ -446,9 +446,19 @@ impl ExistenceModel {
     /// simultaneously. Returns 0 when two nodes of the same component cannot
     /// co-occur (e.g. they share a reference).
     pub fn prn(&self, nodes: &[EntityId]) -> f64 {
-        // Group required nodes into per-component masks; matches are small,
-        // so a linear scan of a tiny vec beats a hash map.
-        let mut masks: Vec<(u32, u64)> = Vec::with_capacity(4);
+        // Group required nodes into per-component masks, in order of first
+        // appearance. Matches are small, so a linear scan of a stack buffer
+        // beats a hash map and allocates nothing; longer lists spill.
+        const INLINE: usize = 16;
+        let mut inline = [(0u32, 0u64); INLINE];
+        let mut spill = Vec::new();
+        let buf: &mut [(u32, u64)] = if nodes.len() <= INLINE {
+            &mut inline
+        } else {
+            spill.resize(nodes.len(), (0, 0));
+            &mut spill
+        };
+        let mut n = 0usize;
         for &v in nodes {
             let c = self.node_component[v.idx()];
             if c == TRIVIAL {
@@ -458,13 +468,16 @@ impl ExistenceModel {
                 return 0.0;
             }
             let bit = 1u64 << self.node_pos[v.idx()];
-            match masks.iter_mut().find(|(ci, _)| *ci == c) {
+            match buf[..n].iter_mut().find(|(ci, _)| *ci == c) {
                 Some((_, m)) => *m |= bit,
-                None => masks.push((c, bit)),
+                None => {
+                    buf[n] = (c, bit);
+                    n += 1;
+                }
             }
         }
         let mut p = 1.0;
-        for (c, mask) in masks {
+        for &(c, mask) in &buf[..n] {
             p *= self.components[c as usize].marginal(mask);
             if p == 0.0 {
                 break;

@@ -19,9 +19,11 @@
 //! one `u32` link buffer with per-(vertex, slot) offset ranges, flat `f64`
 //! weight/perception arrays, and an entity-id slab. A vertex is addressed
 //! by its *global id* `gv = parts[pi].base + vi`; its perception row lives
-//! at `perception[gv·k .. gv·k + k]`. [`Partition`]/[`Vert`] remain as the
-//! builder-side shape ([`KPartiteGraph::from_partitions`] flattens them);
-//! [`PartView`]/[`VertView`] are the read API for generation and tests.
+//! at `perception[gv·k .. gv·k + k]`. [`build_kpartite`] writes these
+//! arenas directly; [`Partition`]/[`Vert`] are a nested shape for graphs
+//! built by hand (tests, reference builders), which
+//! [`KPartiteGraph::from_partitions`] flattens. [`PartView`]/[`VertView`]
+//! are the read API for generation and tests.
 //!
 //! # Frontier
 //!
@@ -45,8 +47,8 @@ use graphstore::EntityId;
 
 const EPS: f64 = 1e-12;
 
-/// One candidate path match, in builder form (nested link lists). The
-/// engine flattens these into arenas; see [`KPartiteGraph::from_partitions`].
+/// One candidate path match in nested form (per-slot link lists), for
+/// hand-built graphs; see [`KPartiteGraph::from_partitions`].
 #[derive(Clone, Debug)]
 pub struct Vert {
     /// Entity images aligned with the path's query nodes.
@@ -65,7 +67,7 @@ pub struct Vert {
     pub perception: Vec<f64>,
 }
 
-/// One partition (all candidates of one decomposition path), builder form.
+/// One partition (all candidates of one decomposition path), nested form.
 #[derive(Clone, Debug)]
 pub struct Partition {
     /// Indices of joined partitions, ascending.
@@ -288,10 +290,9 @@ pub struct KPartiteGraph {
 }
 
 impl KPartiteGraph {
-    /// Flattens builder-form partitions into the arena layout. Link lists
+    /// Flattens nested-form partitions into the arena layout. Link lists
     /// are canonicalized (sorted, deduplicated) here; alive-link counts
-    /// are derived from target liveness; the message frontier is seeded
-    /// with every vertex so the first reduction round is a full sweep.
+    /// are derived from target liveness.
     pub fn from_partitions(mut partitions: Vec<Partition>) -> Self {
         let k = partitions.len();
         for p in &mut partitions {
@@ -343,16 +344,36 @@ impl KPartiteGraph {
                 }
             }
         }
+        Self::assemble(k, parts, alive, w1, w2, nodes, perception, links, link_off)
+    }
 
-        let mut link_alive = vec![0u32; total_slots];
-        let mut sid = 0usize;
-        for (pi, p) in partitions.iter().enumerate() {
-            for v in &p.verts {
-                for (slot, l) in v.links.iter().enumerate() {
-                    let qbase = parts[parts[pi].joined[slot]].base;
-                    link_alive[sid] =
-                        l.iter().filter(|&&w| alive[qbase + w as usize]).count() as u32;
-                    sid += 1;
+    /// Finishes a graph from filled arenas: derives alive-link counts from
+    /// target liveness and per-partition alive counts, and seeds the
+    /// message frontier with every vertex so the first reduction round is
+    /// a full sweep.
+    #[allow(clippy::too_many_arguments)]
+    fn assemble(
+        k: usize,
+        parts: Vec<PartMeta>,
+        alive: Vec<bool>,
+        w1: Vec<f64>,
+        w2: Vec<f64>,
+        nodes: Vec<EntityId>,
+        perception: Vec<f64>,
+        links: Vec<u32>,
+        link_off: Vec<usize>,
+    ) -> Self {
+        let n_verts = alive.len();
+        let mut link_alive = vec![0u32; link_off.len() - 1];
+        for p in &parts {
+            for vi in 0..p.n {
+                for (slot, &pj) in p.joined.iter().enumerate() {
+                    let sid = p.sid(vi, slot);
+                    let qbase = parts[pj].base;
+                    link_alive[sid] = links[link_off[sid]..link_off[sid + 1]]
+                        .iter()
+                        .filter(|&&w| alive[qbase + w as usize])
+                        .count() as u32;
                 }
             }
         }
@@ -908,14 +929,8 @@ impl CoverAssignment {
 }
 
 /// Builds the candidate k-partite graph: vertices from `candidate_sets`,
-/// links from join-candidate computation (lookup tables per joined pair).
-///
-/// Both stages fan out over `pool` in order-preserving chunks — vertex
-/// construction per partition, and the per-pair probe loop (which carries
-/// the `joined_pair_ok` admission test, the hot part on high-candidate
-/// queries). Chunk results are reassembled in index order and the final
-/// flatten canonicalizes link lists, so the graph is byte-identical to
-/// the sequential build at any lane count.
+/// links from join-candidate computation (lookup tables per joined pair,
+/// Section 5.2.3). See [`build_kpartite_traced`] for how.
 pub fn build_kpartite(
     peg: &Peg,
     query: &QueryGraph,
@@ -924,187 +939,417 @@ pub fn build_kpartite(
     alpha: f64,
     pool: &pegpool::ThreadPool,
 ) -> KPartiteGraph {
+    let span = pegtrace::Span::disabled();
+    build_kpartite_traced(peg, query, decomp, candidate_sets, alpha, pool, &span)
+}
+
+/// [`build_kpartite`], tagging `span` (when it records) with `vertices`,
+/// `probed` (candidate pairs the lookup tables returned, each one run
+/// through the admission test) and `links` (link entries written, both
+/// directions).
+///
+/// The graph is written straight into its arenas, in three steps:
+///
+/// 1. **Vertex rows.** Per candidate, the label factor of every path
+///    position and the edge factor of every path edge are looked up once.
+///    `w1` is the product of its owned factors in cover order; a flag
+///    records whether the candidate's own images are pairwise distinct and
+///    reference-disjoint.
+/// 2. **Join tables.** Per joined pair `(i, j)`, `i < j`, partition `j` is
+///    indexed on a `u64` hash of its shared-node images, as head/next
+///    chains built in reverse so every chain ascends. A per-pair plan fixes
+///    the union mapping, the shared-node equality checks and the union
+///    edge order once per pair; each probed pair then multiplies
+///    precomputed factors in that order.
+/// 3. **CSR links.** Count per slot, prefix-sum, fill. Probes emit pairs
+///    with `wi` ascending and `wj` ascending within each `wi`, so every
+///    slot comes out sorted and duplicate-free without a sort.
+///
+/// Vertex rows and probes fan out over `pool` in order-preserving chunks,
+/// so the graph is identical at any lane count.
+pub fn build_kpartite_traced(
+    peg: &Peg,
+    query: &QueryGraph,
+    decomp: &Decomposition,
+    candidate_sets: &[CandidateSet],
+    alpha: f64,
+    pool: &pegpool::ThreadPool,
+    span: &pegtrace::Span,
+) -> KPartiteGraph {
     let k = decomp.paths.len();
+    let candidate_sets = &candidate_sets[..k];
     let cover = CoverAssignment::new(query, decomp);
 
-    let mut partitions: Vec<Partition> = Vec::with_capacity(k);
-    for i in 0..k {
+    let mut parts: Vec<PartMeta> = Vec::with_capacity(k);
+    let (mut base, mut nodes_off, mut slot_off) = (0usize, 0usize, 0usize);
+    for (i, cs) in candidate_sets.iter().enumerate() {
+        let (n, path_len) = (cs.matches.len(), decomp.paths[i].nodes.len());
         let joined = decomp.joins[i].clone();
-        let path = &decomp.paths[i];
-        let make_vert = |pm: &pathindex::PathMatch| {
-            let mut w1 = 1.0;
-            for &pos in &cover.owned_nodes[i] {
-                w1 *= peg.graph.label_prob(pm.nodes[pos], query.label(path.nodes[pos]));
-            }
-            for &(a, b) in &cover.owned_edges[i] {
-                w1 *= peg.graph.edge_prob(
-                    pm.nodes[a],
-                    pm.nodes[b],
-                    query.label(path.nodes[a]),
-                    query.label(path.nodes[b]),
-                );
-            }
-            let mut perception = vec![1.0; k];
-            perception[i] = w1;
-            Vert {
-                nodes: pm.nodes.clone(),
-                w1,
-                w2: pm.prn,
-                alive: true,
-                links: vec![Vec::new(); joined.len()],
-                perception,
-            }
-        };
-        let matches = &candidate_sets[i].matches;
-        let verts: Vec<Vert> = if pool.lanes() > 1 && matches.len() >= 64 {
-            let chunks = pool.chunks(matches.len(), 4);
-            pool.map(chunks.len(), |ci| {
-                matches[chunks[ci].clone()].iter().map(make_vert).collect::<Vec<_>>()
-            })
-            .into_iter()
-            .flatten()
-            .collect()
-        } else {
-            matches.iter().map(make_vert).collect()
-        };
-        partitions.push(Partition { joined, verts });
+        let n_slots = n * joined.len();
+        parts.push(PartMeta { joined, base, n, path_len, nodes_off, slot_off });
+        base += n;
+        nodes_off += n * path_len;
+        slot_off += n_slots;
+    }
+    let (n_verts, total_slots) = (base, slot_off);
+
+    let mut nodes = Vec::with_capacity(nodes_off);
+    let mut w2 = Vec::with_capacity(n_verts);
+    for (cs, p) in candidate_sets.iter().zip(&parts) {
+        for pm in &cs.matches {
+            assert_eq!(pm.nodes.len(), p.path_len, "candidate images must span their path");
+            nodes.extend_from_slice(&pm.nodes);
+            w2.push(pm.prn);
+        }
     }
 
-    // Join-candidate links per joined pair (i < j), via lookup tables
-    // keyed on the images of the shared query nodes (Section 5.2.3).
+    let rows: Vec<VertexRows> = (0..k)
+        .map(|i| {
+            let path = &decomp.paths[i].nodes;
+            let matches = &candidate_sets[i].matches;
+            let (owned_nodes, owned_edges) = (&cover.owned_nodes[i], &cover.owned_edges[i]);
+            chunked(pool, matches.len(), |r| {
+                VertexRows::compute(peg, query, path, owned_nodes, owned_edges, &matches[r])
+            })
+            .into_iter()
+            .reduce(VertexRows::append)
+            .unwrap_or_default()
+        })
+        .collect();
+
+    let mut w1 = Vec::with_capacity(n_verts);
+    let mut perception = vec![1.0; n_verts * k];
+    for (pi, r) in rows.iter().enumerate() {
+        for (vi, &w) in r.w1.iter().enumerate() {
+            perception[(parts[pi].base + vi) * k + pi] = w;
+            w1.push(w);
+        }
+    }
+
+    // Join-candidate pairs per joined pair (i < j).
+    let side = |i: usize| JoinSide {
+        nodes: &nodes[parts[i].nodes_off..parts[i].nodes_off + parts[i].n * parts[i].path_len],
+        len: parts[i].path_len,
+        rows: &rows[i],
+    };
+    let mut probed = 0usize;
+    let mut joins: Vec<JoinLinks> = Vec::new();
     for i in 0..k {
         for &j in &decomp.joins[i] {
             if j < i {
                 continue;
             }
-            let shared = decomp.shared_nodes(i, j);
-            let pos_i: Vec<usize> =
-                shared.iter().map(|&n| decomp.paths[i].position(n).unwrap()).collect();
-            let pos_j: Vec<usize> =
-                shared.iter().map(|&n| decomp.paths[j].position(n).unwrap()).collect();
-
-            // Lookup table over partition j.
-            let mut table: FxHashMap<Vec<u32>, Vec<u32>> = FxHashMap::default();
-            for (wj, v) in partitions[j].verts.iter().enumerate() {
-                let key: Vec<u32> = pos_j.iter().map(|&p| v.nodes[p].0).collect();
-                table.entry(key).or_default().push(wj as u32);
-            }
-
-            let slot_ij = partitions[i].joined.iter().position(|&x| x == j).expect("join symmetry");
-            let slot_ji = partitions[j].joined.iter().position(|&x| x == i).expect("join symmetry");
-            // The probe key buffer is caller-provided and reused across the
-            // whole chunk — one allocation per lane, not one per vertex.
-            let probe = |wi: usize, key: &mut Vec<u32>, out: &mut Vec<(u32, u32)>| {
-                let v = &partitions[i].verts[wi];
-                key.clear();
-                key.extend(pos_i.iter().map(|&p| v.nodes[p].0));
-                let Some(buddies) = table.get(key.as_slice()) else { return };
-                out.extend(
-                    buddies
-                        .iter()
-                        .filter(|&&wj| {
-                            let w = &partitions[j].verts[wj as usize];
-                            joined_pair_ok(peg, query, decomp, i, j, v, w, alpha)
-                        })
-                        .map(|&wj| (wi as u32, wj)),
-                );
-            };
-            let n_i = partitions[i].verts.len();
-            let new_links: Vec<(u32, u32)> = if pool.lanes() > 1 && n_i >= 64 {
-                let chunks = pool.chunks(n_i, 4);
-                pool.map(chunks.len(), |ci| {
-                    let mut key = Vec::new();
-                    let mut out = Vec::new();
-                    for wi in chunks[ci].clone() {
-                        probe(wi, &mut key, &mut out);
-                    }
-                    out
-                })
-                .into_iter()
-                .flatten()
-                .collect()
-            } else {
-                let mut key = Vec::new();
-                let mut out = Vec::new();
-                for wi in 0..n_i {
-                    probe(wi, &mut key, &mut out);
+            let plan = PairPlan::new(decomp, i, j);
+            let (a, b) = (side(i), side(j));
+            // Lookup table over partition j: `heads[key]` starts a chain of
+            // vertex ids linked through `next`, built in reverse so each
+            // chain ascends.
+            let mut heads: FxHashMap<u64, u32> = FxHashMap::default();
+            heads.reserve(parts[j].n);
+            let mut next = vec![NO_VERT; parts[j].n];
+            for wj in (0..parts[j].n).rev() {
+                let key = join_key(b.images(wj), &plan.key_j);
+                if let Some(prev) = heads.insert(key, wj as u32) {
+                    next[wj] = prev;
                 }
-                out
-            };
-            for (wi, wj) in new_links {
-                partitions[i].verts[wi as usize].links[slot_ij].push(wj);
-                partitions[j].verts[wj as usize].links[slot_ji].push(wi);
             }
+            let chunks = chunked(pool, parts[i].n, |r| {
+                let mut out = Vec::new();
+                let mut probed = 0usize;
+                let mut union = Vec::new();
+                for wi in r {
+                    let Some(&head) = heads.get(&join_key(a.images(wi), &plan.key_i)) else {
+                        continue;
+                    };
+                    let mut wj = head;
+                    while wj != NO_VERT {
+                        probed += 1;
+                        if plan.admits(peg, &a, wi, &b, wj as usize, alpha, &mut union) {
+                            out.push((wi as u32, wj));
+                        }
+                        wj = next[wj as usize];
+                    }
+                }
+                (out, probed)
+            });
+            let mut pairs = Vec::with_capacity(chunks.len());
+            for (out, n) in chunks {
+                probed += n;
+                pairs.push(out);
+            }
+            let slot_ij = parts[i].joined.iter().position(|&x| x == j).expect("join symmetry");
+            let slot_ji = parts[j].joined.iter().position(|&x| x == i).expect("join symmetry");
+            joins.push(JoinLinks { i, j, slot_ij, slot_ji, pairs });
         }
     }
-    KPartiteGraph::from_partitions(partitions)
+
+    // CSR links in two passes: count per slot (into `link_off[sid + 1]`),
+    // prefix-sum, then fill through per-slot cursors. A slot receives
+    // entries from exactly one joined pair, in emission order — ascending.
+    let mut link_off = vec![0usize; total_slots + 1];
+    for jl in &joins {
+        for &(wi, wj) in jl.pairs.iter().flatten() {
+            link_off[parts[jl.i].sid(wi as usize, jl.slot_ij) + 1] += 1;
+            link_off[parts[jl.j].sid(wj as usize, jl.slot_ji) + 1] += 1;
+        }
+    }
+    for s in 0..total_slots {
+        link_off[s + 1] += link_off[s];
+    }
+    let mut cursor = link_off[..total_slots].to_vec();
+    let mut links = vec![0u32; link_off[total_slots]];
+    for jl in &joins {
+        for &(wi, wj) in jl.pairs.iter().flatten() {
+            let s = parts[jl.i].sid(wi as usize, jl.slot_ij);
+            links[cursor[s]] = wj;
+            cursor[s] += 1;
+            let s = parts[jl.j].sid(wj as usize, jl.slot_ji);
+            links[cursor[s]] = wi;
+            cursor[s] += 1;
+        }
+    }
+
+    if span.is_recording() {
+        span.tag("vertices", n_verts);
+        span.tag("probed", probed);
+        span.tag("links", links.len());
+    }
+    let alive = vec![true; n_verts];
+    KPartiteGraph::assemble(k, parts, alive, w1, w2, nodes, perception, links, link_off)
 }
 
-/// Join-candidate admission test: injectivity, reference compatibility, and
-/// `Pr(Pu1 ∘ Pu2) ≥ α` on the joined subgraph.
-#[allow(clippy::too_many_arguments)]
-fn joined_pair_ok(
-    peg: &Peg,
-    query: &QueryGraph,
-    decomp: &Decomposition,
+/// Chain terminator in a join lookup table.
+const NO_VERT: u32 = u32::MAX;
+
+/// Runs `f` over `0..n` — split into order-preserving chunks across `pool`
+/// when it has several lanes and `n` is worth splitting — and returns the
+/// chunk results in index order (always at least one).
+fn chunked<T: Send>(
+    pool: &pegpool::ThreadPool,
+    n: usize,
+    f: impl Fn(std::ops::Range<usize>) -> T + Sync,
+) -> Vec<T> {
+    if pool.lanes() > 1 && n >= 64 {
+        let chunks = pool.chunks(n, 4);
+        pool.map(chunks.len(), |ci| f(chunks[ci].clone()))
+    } else {
+        vec![f(0..n)]
+    }
+}
+
+/// Lookup-table key: a hash of a candidate's images at the shared
+/// positions. A collision only lengthens a chain — the admission test
+/// compares every shared image — so the key is exact for any number of
+/// shared nodes.
+fn join_key(images: &[EntityId], pos: &[usize]) -> u64 {
+    pos.iter().fold(0u64, |h, &p| {
+        (h.rotate_left(26) ^ u64::from(images[p].0)).wrapping_mul(0x517c_c1b7_2722_0a95)
+    })
+}
+
+/// Per-vertex factor rows of one partition, in vertex order.
+#[derive(Default)]
+struct VertexRows {
+    /// `Pr(image.l = label)` per path position, `path_len` per vertex.
+    lab: Vec<f64>,
+    /// Each label row multiplied out in position order, starting at 1.0.
+    lab_prod: Vec<f64>,
+    /// Edge probability per path edge (positions `e`, `e + 1`),
+    /// `path_len − 1` per vertex.
+    edg: Vec<f64>,
+    /// The vertex's images are pairwise distinct and reference-disjoint.
+    ok: Vec<bool>,
+    /// Exclusive-coverage weight.
+    w1: Vec<f64>,
+}
+
+impl VertexRows {
+    fn compute(
+        peg: &Peg,
+        query: &QueryGraph,
+        path: &[QNode],
+        owned_nodes: &[usize],
+        owned_edges: &[(usize, usize)],
+        matches: &[pathindex::PathMatch],
+    ) -> Self {
+        let (n, len) = (matches.len(), path.len());
+        let mut r = VertexRows {
+            lab: Vec::with_capacity(n * len),
+            lab_prod: Vec::with_capacity(n),
+            edg: Vec::with_capacity(n * len.saturating_sub(1)),
+            ok: Vec::with_capacity(n),
+            w1: Vec::with_capacity(n),
+        };
+        for pm in matches {
+            let images = &pm.nodes;
+            let (lab0, edg0) = (r.lab.len(), r.edg.len());
+            let mut prod = 1.0;
+            for (&e, &q) in images.iter().zip(path) {
+                let f = peg.graph.label_prob(e, query.label(q));
+                prod *= f;
+                r.lab.push(f);
+            }
+            for (e, q) in images.windows(2).zip(path.windows(2)) {
+                r.edg.push(peg.graph.edge_prob(e[0], e[1], query.label(q[0]), query.label(q[1])));
+            }
+            let mut w1 = 1.0;
+            for &pos in owned_nodes {
+                w1 *= r.lab[lab0 + pos];
+            }
+            for &(a, _) in owned_edges {
+                w1 *= r.edg[edg0 + a];
+            }
+            r.lab_prod.push(prod);
+            r.ok.push(images.iter().enumerate().all(|(a, &ea)| {
+                images[a + 1..].iter().all(|&eb| ea != eb && peg.graph.refs_disjoint(ea, eb))
+            }));
+            r.w1.push(w1);
+        }
+        r
+    }
+
+    fn append(mut self, other: Self) -> Self {
+        self.lab.extend(other.lab);
+        self.lab_prod.extend(other.lab_prod);
+        self.edg.extend(other.edg);
+        self.ok.extend(other.ok);
+        self.w1.extend(other.w1);
+        self
+    }
+}
+
+/// One partition as the join sees it: its image slab and factor rows.
+struct JoinSide<'a> {
+    nodes: &'a [EntityId],
+    len: usize,
+    rows: &'a VertexRows,
+}
+
+impl JoinSide<'_> {
+    fn images(&self, v: usize) -> &[EntityId] {
+        &self.nodes[v * self.len..(v + 1) * self.len]
+    }
+}
+
+/// The admitted pairs of one joined pair `(i, j)`, `i < j`, as per-chunk
+/// lists in emission order.
+struct JoinLinks {
     i: usize,
     j: usize,
-    vi: &Vert,
-    vj: &Vert,
-    alpha: f64,
-) -> bool {
-    // Union mapping qnode -> entity.
-    let mut mapping: Vec<(QNode, EntityId)> = Vec::new();
-    for (paths, vert) in [(i, vi), (j, vj)] {
-        for (pos, &n) in decomp.paths[paths].nodes.iter().enumerate() {
-            let e = vert.nodes[pos];
-            match mapping.iter().find(|(q, _)| *q == n) {
-                Some((_, prev)) => {
-                    if *prev != e {
-                        return false; // Join predicate violated.
-                    }
-                }
-                None => mapping.push((n, e)),
+    slot_ij: usize,
+    slot_ji: usize,
+    pairs: Vec<Vec<(u32, u32)>>,
+}
+
+/// The admission test of one joined pair `(i, j)`, fixed once per pair.
+///
+/// The union mapping is path `i`'s nodes in path order, then path `j`'s
+/// nodes that path `i` does not visit; the union edge order is path `i`'s
+/// edges, then path `j`'s edges that path `i` lacks. (Paths are simple, so
+/// neither list repeats a node or an edge.)
+struct PairPlan {
+    /// Positions on paths `i` and `j` of every node both visit.
+    eq: Vec<(usize, usize)>,
+    /// Positions on path `j` of the nodes only it visits, in path order.
+    j_only: Vec<usize>,
+    /// Indices of path `j`'s edges that path `i` lacks, in path order.
+    j_edges: Vec<usize>,
+    /// Positions of the decomposition's shared nodes on path `i` / `j`:
+    /// the lookup-table key.
+    key_i: Vec<usize>,
+    key_j: Vec<usize>,
+}
+
+impl PairPlan {
+    fn new(decomp: &Decomposition, i: usize, j: usize) -> Self {
+        let (pi, pj) = (&decomp.paths[i], &decomp.paths[j]);
+        let (mut eq, mut j_only) = (Vec::new(), Vec::new());
+        for (q, &n) in pj.nodes.iter().enumerate() {
+            match pi.position(n) {
+                Some(p) => eq.push((p, q)),
+                None => j_only.push(q),
             }
         }
+        let i_edges: Vec<(QNode, QNode)> = pi.edges().collect();
+        let j_edges =
+            pj.edges().enumerate().filter(|(_, e)| !i_edges.contains(e)).map(|(x, _)| x).collect();
+        let shared = decomp.shared_nodes(i, j);
+        Self {
+            eq,
+            j_only,
+            j_edges,
+            key_i: shared.iter().map(|&n| pi.position(n).unwrap()).collect(),
+            key_j: shared.iter().map(|&n| pj.position(n).unwrap()).collect(),
+        }
     }
-    // Injectivity: distinct query nodes, distinct entities.
-    for (a, (_, ea)) in mapping.iter().enumerate() {
-        for (_, eb) in &mapping[a + 1..] {
-            if ea == eb {
-                return false;
-            }
-            if !peg.graph.refs_disjoint(*ea, *eb) {
+
+    /// Join-candidate admission test for `(vi, vj)`: the join predicates,
+    /// injectivity and reference compatibility over the union mapping, and
+    /// `Pr(Pu1 ∘ Pu2) ≥ α` on the joined subgraph.
+    ///
+    /// Bit-exact with evaluating every factor per pair: `prle` multiplies
+    /// the same factors in the same order — labels over the union mapping,
+    /// then edges in union order — and a zero prefix rejects, exactly as
+    /// an early exit would. Edge factors are looked up in path order while
+    /// the union order names edges by sorted endpoints; `edge_prob` is
+    /// symmetric under swapping both endpoints and both labels, so the
+    /// factor is the same number. Injectivity over the union splits into
+    /// each side's own images (the `ok` rows; path `j`'s shared images
+    /// equal path `i`'s once the equality checks pass) plus the cross
+    /// pairs between path `i` and path `j`'s other images.
+    #[allow(clippy::too_many_arguments)]
+    fn admits(
+        &self,
+        peg: &Peg,
+        a: &JoinSide<'_>,
+        vi: usize,
+        b: &JoinSide<'_>,
+        vj: usize,
+        alpha: f64,
+        union: &mut Vec<EntityId>,
+    ) -> bool {
+        if !a.rows.ok[vi] || !b.rows.ok[vj] {
+            return false;
+        }
+        let (ia, ib) = (a.images(vi), b.images(vj));
+        if self.eq.iter().any(|&(p, q)| ia[p] != ib[q]) {
+            return false;
+        }
+        for &q in &self.j_only {
+            let eb = ib[q];
+            if ia.iter().any(|&ea| ea == eb || !peg.graph.refs_disjoint(ea, eb)) {
                 return false;
             }
         }
-    }
-    // Pr(Pu1 ∘ Pu2): labels over union nodes, edges over both paths' edges.
-    let mut prle = 1.0;
-    for &(n, e) in &mapping {
-        prle *= peg.graph.label_prob(e, query.label(n));
+        let mut prle = a.rows.lab_prod[vi];
         if prle == 0.0 {
             return false;
         }
-    }
-    let mut edges: Vec<(QNode, QNode)> = Vec::new();
-    for p in [i, j] {
-        for e in decomp.paths[p].edges() {
-            if !edges.contains(&e) {
-                edges.push(e);
+        for &q in &self.j_only {
+            prle *= b.rows.lab[vj * b.len + q];
+            if prle == 0.0 {
+                return false;
             }
         }
-    }
-    let image = |n: QNode| mapping.iter().find(|(q, _)| *q == n).unwrap().1;
-    for (a, b) in edges {
-        prle *= peg.graph.edge_prob(image(a), image(b), query.label(a), query.label(b));
-        if prle == 0.0 {
-            return false;
+        let ea = a.len.saturating_sub(1);
+        for &f in &a.rows.edg[vi * ea..(vi + 1) * ea] {
+            prle *= f;
+            if prle == 0.0 {
+                return false;
+            }
         }
+        let eb = b.len.saturating_sub(1);
+        for &x in &self.j_edges {
+            prle *= b.rows.edg[vj * eb + x];
+            if prle == 0.0 {
+                return false;
+            }
+        }
+        union.clear();
+        union.extend_from_slice(ia);
+        union.extend(self.j_only.iter().map(|&q| ib[q]));
+        prle * peg.prn(union) + EPS >= alpha
     }
-    let entities: Vec<EntityId> = mapping.iter().map(|(_, e)| *e).collect();
-    let prn = peg.prn(&entities);
-    prle * prn + EPS >= alpha
 }
 
 #[cfg(test)]

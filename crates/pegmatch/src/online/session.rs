@@ -20,7 +20,7 @@ use crate::matcher::Match;
 use crate::online::candidates::{bound_keeps, CandidateSet};
 use crate::online::exec_cache::{floor_alpha, ExecCache, ExecKey};
 use crate::online::generate::generate_matches_limited;
-use crate::online::kpartite::{build_kpartite, KPartiteGraph, ReduceOptions};
+use crate::online::kpartite::{build_kpartite_traced, KPartiteGraph, ReduceOptions};
 use crate::online::plan::PreparedQuery;
 use crate::online::source::CandidateSource;
 use crate::online::{log10_product, PipelineStats, QueryOptions, QueryResult};
@@ -161,7 +161,7 @@ impl<'a, 'p> QuerySession<'a, 'p> {
         // 3. Join-candidates / k-partite construction.
         let span = self.tracer.span("join");
         let t = Instant::now();
-        let mut kp = build_kpartite(self.peg, query, decomp, &sets, alpha, &pool);
+        let mut kp = build_kpartite_traced(self.peg, query, decomp, &sets, alpha, &pool, &span);
         stats.join_time = t.elapsed();
         drop(span);
 
@@ -215,11 +215,7 @@ impl<'a, 'p> QuerySession<'a, 'p> {
         let prepared = self.prepared;
         let query = &prepared.query;
         let decomp = &prepared.decomp;
-        if let (Some((cache, epoch)), Some(canon)) = (&self.exec, &prepared.canon) {
-            let beta = self.source.beta();
-            let floor = floor_alpha(alpha, beta);
-            let paths: Vec<&[QNode]> = decomp.paths.iter().map(|p| p.nodes.as_slice()).collect();
-            let key = ExecKey::new(*epoch, canon, &paths, self.source.max_len(), beta, floor);
+        if let Some((cache, key, floor)) = self.exec_key(alpha) {
             if let Some(cached) = cache.get(&key) {
                 // A hit skips the source entirely, but the re-prune of
                 // the floor lists is real stage-2 work: time it
@@ -235,7 +231,14 @@ impl<'a, 'p> QuerySession<'a, 'p> {
             }
             span.tag("cache", "miss");
             span.tag("floor", floor);
-            let sets = self.source.retrieve(query, decomp, &prepared.pstats, floor, span, pool)?;
+            let mut sets =
+                self.source.retrieve(query, decomp, &prepared.pstats, floor, span, pool)?;
+            // Trim the lists before they are cached, so the heap an entry
+            // holds is what `entry_bytes` charges it for.
+            for cs in &mut sets {
+                cs.matches.shrink_to_fit();
+                cs.bounds.shrink_to_fit();
+            }
             let sets = Arc::new(sets);
             cache.insert(key, Arc::clone(&sets));
             let t0 = Instant::now();
@@ -246,6 +249,21 @@ impl<'a, 'p> QuerySession<'a, 'p> {
         }
         let sets = self.source.retrieve(query, decomp, &prepared.pstats, alpha, span, pool)?;
         Ok((sets, false))
+    }
+
+    /// The execution-cache key this session retrieves `alpha` under, with
+    /// the cache and the floor threshold; `None` when no cache is attached
+    /// or the plan carries no canonical form.
+    fn exec_key(&self, alpha: f64) -> Option<(&Arc<ExecCache>, ExecKey, f64)> {
+        let (Some((cache, epoch)), Some(canon)) = (&self.exec, &self.prepared.canon) else {
+            return None;
+        };
+        let beta = self.source.beta();
+        let floor = floor_alpha(alpha, beta);
+        let paths: Vec<&[QNode]> =
+            self.prepared.decomp.paths.iter().map(|p| p.nodes.as_slice()).collect();
+        let key = ExecKey::new(*epoch, canon, &paths, self.source.max_len(), beta, floor);
+        Some((cache, key, floor))
     }
 
     fn reduce_opts(&self, pool: &pegpool::ThreadPool) -> ReduceOptions {
@@ -388,5 +406,90 @@ impl<'a, 'p> QuerySession<'a, 'p> {
                 .unwrap_or(std::cmp::Ordering::Equal)
                 .then_with(|| a.nodes.cmp(&b.nodes))
         });
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::model::peg::{figure1_refgraph, PegBuilder};
+    use crate::offline::{OfflineIndex, OfflineOptions};
+    use crate::online::{build_kpartite, ExecCache, QueryOptions, QueryPipeline};
+    use graphstore::Label;
+    use pegtrace::{TagValue, Tracer};
+    use std::sync::Arc;
+
+    #[test]
+    fn join_span_counts_vertices_probes_and_links() {
+        let peg = PegBuilder::new().build(&figure1_refgraph()).unwrap();
+        let idx = OfflineIndex::build(&peg, &OfflineOptions::with_len_and_beta(1, 0.01)).unwrap();
+        let pipe = QueryPipeline::new(&peg, &idx);
+        let (a, r, i) = (Label(0), Label(1), Label(2));
+        let q = crate::query::QueryGraph::path(&[r, a, i]).unwrap();
+        let opts = QueryOptions::default();
+        let alpha = 0.05;
+        let prepared = pipe.prepare(&q, alpha, &opts).unwrap();
+        assert_eq!(prepared.n_paths(), 2, "two joined single-edge paths");
+        let mut session = pipe.session(&prepared, &opts);
+        session.set_tracer(Tracer::enabled(1));
+        session.rebase(alpha).unwrap();
+        let spans = session.tracer().take();
+        let join = spans.iter().find(|s| s.name == "join").expect("join span");
+        let count = |key: &str| match join.tag(key) {
+            Some(TagValue::U64(n)) => *n as usize,
+            other => panic!("{key}: {other:?}"),
+        };
+
+        let sets: Vec<_> = prepared
+            .decomp
+            .paths
+            .iter()
+            .zip(&prepared.pstats)
+            .map(|(p, st)| {
+                let cache = crate::online::candidates::NodeCandidateCache::new();
+                let pool = pegpool::pool_with(1);
+                crate::online::candidates::find_candidates(
+                    &peg, &idx, &q, p, st, alpha, &cache, &pool,
+                )
+            })
+            .collect();
+        let pool = pegpool::pool_with(1);
+        let kp = build_kpartite(&peg, &q, &prepared.decomp, &sets, alpha, &pool);
+        let (mut vertices, mut links) = (0, 0);
+        for pi in 0..kp.n_partitions() {
+            let part = kp.part(pi);
+            vertices += part.n_verts();
+            for vi in 0..part.n_verts() {
+                links +=
+                    (0..part.joined().len()).map(|s| part.vert(vi).links(s).len()).sum::<usize>();
+            }
+        }
+        assert_eq!(count("vertices"), vertices);
+        assert_eq!(count("links"), links);
+        assert!(links > 0);
+        // Every link is one admitted pair, written once per direction.
+        assert!(count("probed") * 2 >= links);
+    }
+
+    #[test]
+    fn cached_entries_hold_no_spare_capacity() {
+        let peg = PegBuilder::new().build(&figure1_refgraph()).unwrap();
+        let idx = OfflineIndex::build(&peg, &OfflineOptions::with_len_and_beta(1, 0.01)).unwrap();
+        let cache = Arc::new(ExecCache::new(1 << 20));
+        let pipe = QueryPipeline::new(&peg, &idx).with_exec_cache(Arc::clone(&cache), 1);
+        let (a, r, i) = (Label(0), Label(1), Label(2));
+        let q = crate::query::QueryGraph::path(&[r, a, i]).unwrap();
+        let opts = QueryOptions::default();
+        for alpha in [0.02, 0.2] {
+            let prepared = pipe.prepare(&q, alpha, &opts).unwrap();
+            let mut session = pipe.session(&prepared, &opts);
+            session.run_at(alpha, None).unwrap();
+            let (_, key, _) = session.exec_key(alpha).expect("cache attached");
+            let entry = cache.get(&key).expect("the miss inserted an entry");
+            assert!(!entry.is_empty());
+            for cs in entry.iter() {
+                assert_eq!(cs.matches.len(), cs.matches.capacity(), "alpha={alpha}");
+                assert_eq!(cs.bounds.len(), cs.bounds.capacity(), "alpha={alpha}");
+            }
+        }
     }
 }

@@ -98,7 +98,7 @@ impl Json {
     /// Parses one JSON document, requiring it to span the whole input.
     /// Container nesting beyond [`Json::MAX_DEPTH`] is rejected.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
-        let mut p = Parser { bytes: text.as_bytes(), pos: 0, depth: 0 };
+        let mut p = Parser { text, bytes: text.as_bytes(), pos: 0, depth: 0 };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
@@ -199,6 +199,7 @@ impl fmt::Display for JsonError {
 impl std::error::Error for JsonError {}
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
     depth: usize,
@@ -331,12 +332,17 @@ impl<'a> Parser<'a> {
                 }
                 Some(b) if b < 0x20 => return Err(self.err("control character in string")),
                 Some(_) => {
-                    // Copy one UTF-8 scalar (input is a valid &str).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid utf-8"))?;
-                    let c = rest.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the whole run of unescaped bytes as one slice.
+                    // The run stops at an ASCII byte (`"`, `\`, control),
+                    // which is always a char boundary of the valid input.
+                    let start = self.pos;
+                    while let Some(&b) = self.bytes.get(self.pos) {
+                        if b == b'"' || b == b'\\' || b < 0x20 {
+                            break;
+                        }
+                        self.pos += 1;
+                    }
+                    out.push_str(&self.text[start..self.pos]);
                 }
             }
         }
@@ -548,6 +554,52 @@ mod tests {
         // Depth resets between siblings: wide-but-shallow stays fine.
         let wide = format!("[{}1]", "[1],".repeat(10_000));
         assert!(Json::parse(&wide).is_ok());
+    }
+
+    #[test]
+    fn long_strings_and_many_keys_parse_in_linear_time() {
+        // Each unescaped run is copied as one slice. The old per-character
+        // copy re-validated the rest of the input every time, so a 1 MB
+        // string took seconds; these bounds are loose enough for a slow
+        // debug build and far below quadratic.
+        let long = "é".repeat(250_000) + &"x".repeat(500_000);
+        let doc = Json::Arr(vec![Json::Str(long.clone()), Json::Str("tail\n\"q\"".into())]);
+        let text = doc.to_string();
+        assert!(text.len() >= 1_000_000);
+        let t = std::time::Instant::now();
+        assert_eq!(Json::parse(&text).unwrap(), doc);
+        assert!(t.elapsed().as_secs_f64() < 2.0, "1 MB string took {:?}", t.elapsed());
+
+        let mut b = obj();
+        for i in 0..50_000usize {
+            b = b.field(&format!("k{i}"), i);
+        }
+        let doc = b.build();
+        let text = doc.to_string();
+        let t = std::time::Instant::now();
+        assert_eq!(Json::parse(&text).unwrap(), doc);
+        assert!(t.elapsed().as_secs_f64() < 2.0, "50k keys took {:?}", t.elapsed());
+    }
+
+    #[test]
+    fn strings_round_trip_through_the_encoder() {
+        for s in [
+            "",
+            "plain",
+            "quote \" and backslash \\ mid-run",
+            "\u{0}\u{1f} controls \t\r\n\u{8}\u{c}",
+            "é😀 multi-byte, then ascii",
+            "😀",
+            "ends with escape\n",
+        ] {
+            let text = Json::Str(s.into()).to_string();
+            assert_eq!(Json::parse(&text).unwrap(), Json::Str(s.into()), "{text}");
+        }
+        // Escapes the encoder does not emit still decode.
+        assert_eq!(
+            Json::parse(r#""a\/b\u00e9\ud83d\ude00c""#).unwrap(),
+            Json::Str("a/bé😀c".into())
+        );
     }
 
     #[test]
