@@ -9,8 +9,8 @@
 //! each worker emits only canonically-oriented paths so every undirected
 //! path/labeling pair is stored exactly once.
 
-use crate::index::{IdentityOracle, PathIndex, PathIndexConfig, PathMatch, StoredPath};
-use graphstore::hash::FxHashSet;
+use crate::index::{IdentityOracle, PathIndex, PathIndexConfig, PathMatch, SeqBuckets};
+use graphstore::hash::{FxHashMap, FxHashSet};
 use graphstore::{EntityGraph, EntityId, Label};
 
 /// Probability slack for threshold comparisons.
@@ -22,39 +22,10 @@ pub fn build_index(
     oracle: &dyn IdentityOracle,
     config: &PathIndexConfig,
 ) -> PathIndex {
-    let threads = if config.threads == 0 {
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-    } else {
-        config.threads
-    };
-    let n = graph.n_nodes();
-    let threads = threads.clamp(1, n.max(1));
-
-    let partials: Vec<Vec<(Vec<u16>, StoredPath)>> = if threads == 1 {
-        let mut out = Vec::new();
-        for v in 0..n as u32 {
-            enumerate_from(graph, oracle, config, EntityId(v), None, &mut out);
-        }
-        vec![out]
-    } else {
-        // Strided partitioning over start nodes on the shared persistent
-        // pool; merge order is by worker index, so output is deterministic.
-        pegpool::pool_with(threads).map(threads, |t| {
-            let mut out = Vec::new();
-            let mut v = t;
-            while v < n {
-                enumerate_from(graph, oracle, config, EntityId(v as u32), None, &mut out);
-                v += threads;
-            }
-            out
-        })
-    };
-
+    let starts: Vec<u32> = (0..graph.n_nodes() as u32).collect();
     let mut index = PathIndex::empty(config.clone());
-    for partial in partials {
-        for (seq, entry) in partial {
-            index.insert(seq, entry);
-        }
+    for partial in enumerate_partials(graph, oracle, config, &starts, None) {
+        index.absorb(partial.seqs, |_| {});
     }
     index.rebuild_histograms();
     index
@@ -91,11 +62,10 @@ pub fn update_index(
     // 1. Drop entries that touch a dirty node.
     let mut removed_total = 0usize;
     for (seq, sb) in index.map.iter_mut() {
+        let stride = sb.stride;
         let mut removed_here = 0usize;
         for b in sb.buckets.iter_mut() {
-            let before = b.len();
-            b.retain(|e| !e.nodes.iter().any(|&v| is_dirty(v)));
-            removed_here += before - b.len();
+            removed_here += b.retain(stride, |nodes| !nodes.iter().any(|&v| is_dirty(v)));
         }
         if removed_here > 0 {
             affected.insert(seq.clone());
@@ -134,64 +104,83 @@ pub fn update_index(
     let starts: Vec<u32> = (0..n as u32).filter(|&v| in_region[v as usize]).collect();
 
     // 3. Re-enumerate from the region, keeping only dirty-touching paths.
+    for partial in enumerate_partials(graph, oracle, &config, &starts, Some(dirty)) {
+        index.absorb(partial.seqs, |seq| {
+            if !affected.contains(seq) {
+                affected.insert(seq.to_vec());
+            }
+        });
+    }
+
+    // 4. Patch histograms of affected sequences; drop emptied sequences.
+    for seq in affected {
+        match index.map.get(&seq).and_then(|sb| sb.hist_counts(&config.hist_grid, &|_| true)) {
+            Some(counts) => {
+                index.hist.insert(seq, counts);
+            }
+            None => {
+                index.map.remove(&seq);
+                index.hist.remove(&seq);
+            }
+        }
+    }
+}
+
+/// One worker's output: entries grouped by canonical label sequence in
+/// first-emission order, each bucketed exactly as the index stores them.
+/// Absorbing partials in worker order therefore reproduces the entry
+/// order of inserting every emitted path one at a time.
+struct Partial {
+    n_buckets: usize,
+    slot: FxHashMap<Vec<u16>, usize>,
+    seqs: Vec<(Vec<u16>, SeqBuckets)>,
+}
+
+impl Partial {
+    fn new(config: &PathIndexConfig) -> Self {
+        Self { n_buckets: config.n_buckets(), slot: FxHashMap::default(), seqs: Vec::new() }
+    }
+
+    fn seq_buckets(&mut self, labels: &[u16]) -> &mut SeqBuckets {
+        let i = match self.slot.get(labels) {
+            Some(&i) => i,
+            None => {
+                self.slot.insert(labels.to_vec(), self.seqs.len());
+                self.seqs.push((labels.to_vec(), SeqBuckets::new(labels.len(), self.n_buckets)));
+                self.seqs.len() - 1
+            }
+        };
+        &mut self.seqs[i].1
+    }
+}
+
+/// Enumerates from `starts`, strided over `config.threads` workers (0 = all
+/// cores) on the shared persistent pool; partials come back in worker
+/// order, so the merged output is deterministic.
+fn enumerate_partials(
+    graph: &EntityGraph,
+    oracle: &dyn IdentityOracle,
+    config: &PathIndexConfig,
+    starts: &[u32],
+    dirty: Option<&[bool]>,
+) -> Vec<Partial> {
     let threads = if config.threads == 0 {
-        std::thread::available_parallelism().map(|t| t.get()).unwrap_or(1)
+        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
     } else {
         config.threads
     };
     let threads = threads.clamp(1, starts.len().max(1));
-    let partials: Vec<Vec<(Vec<u16>, StoredPath)>> = if threads == 1 {
-        let mut out = Vec::new();
-        for &v in &starts {
-            enumerate_from(graph, oracle, &config, EntityId(v), Some(dirty), &mut out);
+    let run = |t: usize| {
+        let mut out = Partial::new(config);
+        for &v in starts.iter().skip(t).step_by(threads) {
+            enumerate_from(graph, oracle, config, EntityId(v), dirty, &mut out);
         }
-        vec![out]
-    } else {
-        let starts = &starts;
-        pegpool::pool_with(threads).map(threads, |t| {
-            let mut out = Vec::new();
-            let mut i = t;
-            while i < starts.len() {
-                enumerate_from(graph, oracle, &config, EntityId(starts[i]), Some(dirty), &mut out);
-                i += threads;
-            }
-            out
-        })
+        out
     };
-    for partial in partials {
-        for (seq, entry) in partial {
-            if !affected.contains(&seq) {
-                affected.insert(seq.clone());
-            }
-            index.insert(seq, entry);
-        }
-    }
-
-    // 4. Patch histograms of affected sequences; drop emptied sequences.
-    let grid = config.hist_grid.clone();
-    for seq in affected {
-        let empty = match index.map.get(&seq) {
-            None => true,
-            Some(sb) => sb.buckets.iter().all(|b| b.is_empty()),
-        };
-        if empty {
-            index.map.remove(&seq);
-            index.hist.remove(&seq);
-            continue;
-        }
-        let sb = &index.map[&seq];
-        let mut counts = vec![0u32; grid.len()];
-        for b in &sb.buckets {
-            for e in b {
-                let p = e.prob();
-                for (i, &g) in grid.iter().enumerate() {
-                    if p >= g {
-                        counts[i] += 1;
-                    }
-                }
-            }
-        }
-        index.hist.insert(seq, counts);
+    if threads == 1 {
+        vec![run(0)]
+    } else {
+        pegpool::pool_with(threads).map(threads, run)
     }
 }
 
@@ -215,7 +204,7 @@ fn enumerate_from(
     config: &PathIndexConfig,
     start: EntityId,
     dirty: Option<&[bool]>,
-    out: &mut Vec<(Vec<u16>, StoredPath)>,
+    out: &mut Partial,
 ) {
     let mut walk = Walk {
         graph,
@@ -243,7 +232,7 @@ fn enumerate_from(
     }
 }
 
-fn extend(walk: &mut Walk<'_>, prle: f64, out: &mut Vec<(Vec<u16>, StoredPath)>) {
+fn extend(walk: &mut Walk<'_>, prle: f64, out: &mut Partial) {
     if walk.nodes.len() > walk.config.max_len {
         return;
     }
@@ -290,7 +279,7 @@ fn extend(walk: &mut Walk<'_>, prle: f64, out: &mut Vec<(Vec<u16>, StoredPath)>)
     }
 }
 
-fn emit_if_canonical(walk: &Walk<'_>, prle: f64, prn: f64, out: &mut Vec<(Vec<u16>, StoredPath)>) {
+fn emit_if_canonical(walk: &Walk<'_>, prle: f64, prn: f64, out: &mut Partial) {
     if let Some(dirty) = walk.dirty {
         let touches = walk.nodes.iter().any(|v| dirty.get(v.0 as usize).copied().unwrap_or(true));
         if !touches {
@@ -311,10 +300,8 @@ fn emit_if_canonical(walk: &Walk<'_>, prle: f64, prn: f64, out: &mut Vec<(Vec<u1
     if !is_canonical {
         return;
     }
-    out.push((
-        seq.clone(),
-        StoredPath { nodes: walk.nodes.iter().map(|v| v.0).collect(), prle, prn },
-    ));
+    let bucket = walk.config.bucket_of(prle * prn);
+    out.seq_buckets(seq).buckets[bucket].push(walk.nodes.iter().map(|v| v.0), prle, prn);
 }
 
 /// Compares a sequence with its own reversal without allocating.

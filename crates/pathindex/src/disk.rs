@@ -14,9 +14,9 @@
 //! so a lookup with threshold `α` is a single range scan from
 //! `("P", seq, bucket(α))` — the disk analogue of the in-memory structure.
 
-use crate::index::{canonicalize, Orientation, PathIndex, PathIndexConfig, PathMatch, StoredPath};
+use crate::index::{canonicalize, push_matches, PathIndex, PathIndexConfig, PathMatch, PathRef};
 use graphstore::hash::FxHashMap;
-use graphstore::{EntityId, Label};
+use graphstore::Label;
 use kvstore::{codec, Kv, KvError, Result};
 
 fn meta_key() -> Vec<u8> {
@@ -60,7 +60,7 @@ fn seq_upper_bound(seq: u32) -> Vec<u8> {
 pub fn save_index(index: &PathIndex, kv: &mut dyn Kv) -> Result<()> {
     let cfg = index.config();
     let mut seq_ids: Vec<(&Vec<u16>, u32)> = Vec::new();
-    for (i, (seq, _)) in index.iter_sequences().enumerate() {
+    for (i, seq) in index.map.keys().enumerate() {
         seq_ids.push((seq, i as u32));
     }
 
@@ -94,10 +94,10 @@ pub fn save_index(index: &PathIndex, kv: &mut dyn Kv) -> Result<()> {
     for (seq, id) in &seq_ids {
         let sb = &index.map[*seq];
         for (bucket, entries) in sb.buckets.iter().enumerate() {
-            for (n, e) in entries.iter().enumerate() {
+            for (n, e) in entries.iter(sb.stride).enumerate() {
                 let mut buf = Vec::new();
                 buf.push(e.nodes.len() as u8);
-                for &node in &e.nodes {
+                for &node in e.nodes {
                     codec::push_u32(&mut buf, node);
                 }
                 codec::push_f64_prob(&mut buf, e.prle);
@@ -109,17 +109,15 @@ pub fn save_index(index: &PathIndex, kv: &mut dyn Kv) -> Result<()> {
     Ok(())
 }
 
-fn decode_entry(buf: &[u8]) -> StoredPath {
+/// Decodes one `"P"` value, reusing `nodes` as the node buffer.
+fn decode_entry<'a>(buf: &[u8], nodes: &'a mut Vec<u32>) -> PathRef<'a> {
     let n = buf[0] as usize;
-    let mut nodes = Vec::with_capacity(n);
-    let mut pos = 1;
-    for _ in 0..n {
-        nodes.push(codec::read_u32(buf, pos));
-        pos += 4;
-    }
+    nodes.clear();
+    nodes.extend((0..n).map(|i| codec::read_u32(buf, 1 + 4 * i)));
+    let pos = 1 + 4 * n;
     let prle = codec::read_f64_prob(buf, pos);
     let prn = codec::read_f64_prob(buf, pos + 8);
-    StoredPath { nodes, prle, prn }
+    PathRef { nodes, prle, prn }
 }
 
 /// Reads a full [`PathIndex`] back into memory.
@@ -150,11 +148,12 @@ pub fn load_index(kv: &dyn Kv) -> Result<PathIndex> {
         }
         seqs.push(seq);
     }
+    let mut nodes = Vec::new();
     for (id, seq) in seqs.iter().enumerate() {
         let lo = entry_prefix(id as u32, 0);
         let hi = seq_upper_bound(id as u32);
         kv.scan(Some(&lo), Some(&hi), &mut |_k, v| {
-            index.insert(seq.clone(), decode_entry(v));
+            index.insert(seq, decode_entry(v, &mut nodes));
             true
         })?;
     }
@@ -216,33 +215,16 @@ impl<'a, K: Kv> DiskPathIndex<'a, K> {
         let lo = entry_prefix(id, start_bucket);
         let hi = seq_upper_bound(id);
         let mut out = Vec::new();
+        let mut nodes = Vec::new();
         self.kv.scan(Some(&lo), Some(&hi), &mut |_k, v| {
-            let e = decode_entry(v);
+            let e = decode_entry(v, &mut nodes);
             if e.prob() + 1e-12 >= min_prob {
-                match orient {
-                    Orientation::Forward => out.push(to_match(&e, false)),
-                    Orientation::Reverse => out.push(to_match(&e, true)),
-                    Orientation::Palindrome => {
-                        out.push(to_match(&e, false));
-                        if e.nodes.len() > 1 {
-                            out.push(to_match(&e, true));
-                        }
-                    }
-                }
+                push_matches(&mut out, e, orient);
             }
             true
         })?;
         Ok(out)
     }
-}
-
-fn to_match(e: &StoredPath, reverse: bool) -> PathMatch {
-    let nodes: Vec<EntityId> = if reverse {
-        e.nodes.iter().rev().map(|&n| EntityId(n)).collect()
-    } else {
-        e.nodes.iter().map(|&n| EntityId(n)).collect()
-    };
-    PathMatch { nodes, prle: e.prle, prn: e.prn }
 }
 
 #[cfg(test)]

@@ -71,18 +71,18 @@ impl PathIndexConfig {
     }
 }
 
-/// One stored path under a specific label assignment.
-#[derive(Clone, Debug, PartialEq)]
-pub struct StoredPath {
+/// A borrowed view of one stored path under a specific label assignment.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct PathRef<'a> {
     /// Node ids along the path (canonical orientation).
-    pub nodes: Vec<u32>,
+    pub nodes: &'a [u32],
     /// `Prle` under the key's label assignment.
     pub prle: f64,
     /// `Prn` of the path's node set.
     pub prn: f64,
 }
 
-impl StoredPath {
+impl PathRef<'_> {
     /// Total probability `Prle · Prn`.
     #[inline]
     pub fn prob(&self) -> f64 {
@@ -110,10 +110,117 @@ impl PathMatch {
     }
 }
 
-/// Per-canonical-sequence storage: entries bucketed by total probability.
+/// One probability bucket, struct-of-arrays: entry `i` is
+/// `nodes[i * stride..(i + 1) * stride]`, `prle[i]`, `prn[i]`, where the
+/// stride is the length of the bucket's label sequence.
 #[derive(Clone, Debug, Default)]
+pub(crate) struct Bucket {
+    pub(crate) nodes: Vec<u32>,
+    pub(crate) prle: Vec<f64>,
+    pub(crate) prn: Vec<f64>,
+}
+
+impl Bucket {
+    pub(crate) fn len(&self) -> usize {
+        self.prle.len()
+    }
+
+    pub(crate) fn is_empty(&self) -> bool {
+        self.prle.is_empty()
+    }
+
+    pub(crate) fn push(&mut self, nodes: impl IntoIterator<Item = u32>, prle: f64, prn: f64) {
+        self.nodes.extend(nodes);
+        self.prle.push(prle);
+        self.prn.push(prn);
+    }
+
+    /// Entries in storage order.
+    pub(crate) fn iter(&self, stride: usize) -> impl Iterator<Item = PathRef<'_>> {
+        self.nodes
+            .chunks_exact(stride)
+            .zip(self.prle.iter().zip(&self.prn))
+            .map(|(nodes, (&prle, &prn))| PathRef { nodes, prle, prn })
+    }
+
+    /// Keeps the entries whose nodes satisfy `keep`, compacting in place
+    /// without reordering; returns how many were dropped.
+    pub(crate) fn retain(&mut self, stride: usize, keep: impl Fn(&[u32]) -> bool) -> usize {
+        let n = self.len();
+        let mut w = 0;
+        for r in 0..n {
+            if !keep(&self.nodes[r * stride..(r + 1) * stride]) {
+                continue;
+            }
+            if w != r {
+                self.nodes.copy_within(r * stride..(r + 1) * stride, w * stride);
+                self.prle[w] = self.prle[r];
+                self.prn[w] = self.prn[r];
+            }
+            w += 1;
+        }
+        self.nodes.truncate(w * stride);
+        self.prle.truncate(w);
+        self.prn.truncate(w);
+        n - w
+    }
+}
+
+/// Per-canonical-sequence storage: entries bucketed by total probability.
+#[derive(Clone, Debug)]
 pub(crate) struct SeqBuckets {
-    pub(crate) buckets: Vec<Vec<StoredPath>>,
+    /// Nodes per entry: the length of the label sequence.
+    pub(crate) stride: usize,
+    pub(crate) buckets: Vec<Bucket>,
+}
+
+impl SeqBuckets {
+    pub(crate) fn new(stride: usize, n_buckets: usize) -> Self {
+        Self { stride, buckets: vec![Bucket::default(); n_buckets] }
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.buckets.iter().map(Bucket::len).sum()
+    }
+
+    /// Every entry, bucket by bucket, in storage order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = PathRef<'_>> {
+        self.buckets.iter().flat_map(move |b| b.iter(self.stride))
+    }
+
+    /// Moves `other`'s entries to the end of the matching buckets.
+    pub(crate) fn append(&mut self, other: SeqBuckets) {
+        for (dst, src) in self.buckets.iter_mut().zip(other.buckets) {
+            if dst.is_empty() {
+                *dst = src;
+            } else {
+                dst.nodes.extend_from_slice(&src.nodes);
+                dst.prle.extend_from_slice(&src.prle);
+                dst.prn.extend_from_slice(&src.prn);
+            }
+        }
+    }
+
+    /// Histogram counts over the entries satisfying `keep`, or `None` when
+    /// none does.
+    pub(crate) fn hist_counts(
+        &self,
+        grid: &[f64],
+        keep: &dyn Fn(&PathRef<'_>) -> bool,
+    ) -> Option<Vec<u32>> {
+        let mut counts = vec![0u32; grid.len()];
+        let mut any = false;
+        for e in self.iter().filter(|e| keep(e)) {
+            any = true;
+            let p = e.prob();
+            for (c, &g) in counts.iter_mut().zip(grid) {
+                if p >= g {
+                    *c += 1;
+                }
+            }
+        }
+        any.then_some(counts)
+    }
 }
 
 /// The context-aware path index (in-memory form).
@@ -202,12 +309,9 @@ impl PathIndex {
     pub fn approx_bytes(&self) -> u64 {
         let mut total = 0u64;
         for (k, v) in &self.map {
-            total += (k.len() * 2 + 48) as u64;
+            total += (k.len() * 2 + 56) as u64;
             for b in &v.buckets {
-                total += 24;
-                for e in b {
-                    total += (e.nodes.len() * 4 + 16 + 24) as u64;
-                }
+                total += (72 + b.nodes.len() * 4 + b.len() * 16) as u64;
             }
         }
         for (k, v) in &self.hist {
@@ -216,33 +320,57 @@ impl PathIndex {
         total
     }
 
-    pub(crate) fn insert(&mut self, canonical: Vec<u16>, entry: StoredPath) {
+    /// Every stored entry with its canonical label sequence and
+    /// probability bucket, in storage order (for equivalence checks).
+    pub fn entries(&self) -> impl Iterator<Item = (&[u16], usize, PathRef<'_>)> {
+        self.map.iter().flat_map(|(seq, sb)| {
+            sb.buckets.iter().enumerate().flat_map(move |(bucket, b)| {
+                b.iter(sb.stride).map(move |e| (seq.as_slice(), bucket, e))
+            })
+        })
+    }
+
+    /// Histogram counts of a canonical label sequence (one per grid point).
+    pub fn histogram(&self, canonical: &[u16]) -> Option<&[u32]> {
+        self.hist.get(canonical).map(Vec::as_slice)
+    }
+
+    pub(crate) fn insert(&mut self, canonical: &[u16], entry: PathRef<'_>) {
         let bucket = self.config.bucket_of(entry.prob());
         let n_buckets = self.config.n_buckets();
-        let sb = self
-            .map
-            .entry(canonical)
-            .or_insert_with(|| SeqBuckets { buckets: vec![Vec::new(); n_buckets] });
-        sb.buckets[bucket].push(entry);
+        if !self.map.contains_key(canonical) {
+            self.map.insert(canonical.to_vec(), SeqBuckets::new(canonical.len(), n_buckets));
+        }
+        let sb = self.map.get_mut(canonical).unwrap();
+        sb.buckets[bucket].push(entry.nodes.iter().copied(), entry.prle, entry.prn);
         self.n_entries += 1;
+    }
+
+    /// Appends a worker's output sequence by sequence, calling `touched`
+    /// on each sequence before it lands.
+    pub(crate) fn absorb(
+        &mut self,
+        seqs: Vec<(Vec<u16>, SeqBuckets)>,
+        mut touched: impl FnMut(&[u16]),
+    ) {
+        for (seq, sb) in seqs {
+            touched(&seq);
+            self.n_entries += sb.len();
+            match self.map.get_mut(&seq) {
+                Some(dst) => dst.append(sb),
+                None => {
+                    self.map.insert(seq, sb);
+                }
+            }
+        }
     }
 
     /// Rebuilds the per-sequence histograms from the stored entries.
     pub(crate) fn rebuild_histograms(&mut self) {
         self.hist.clear();
-        let grid = self.config.hist_grid.clone();
+        let grid = &self.config.hist_grid;
         for (seq, sb) in &self.map {
-            let mut counts = vec![0u32; grid.len()];
-            for b in &sb.buckets {
-                for e in b {
-                    let p = e.prob();
-                    for (i, &g) in grid.iter().enumerate() {
-                        if p >= g {
-                            counts[i] += 1;
-                        }
-                    }
-                }
-            }
+            let counts = sb.hist_counts(grid, &|_| true).unwrap_or_else(|| vec![0; grid.len()]);
             self.hist.insert(seq.clone(), counts);
         }
     }
@@ -259,31 +387,14 @@ impl PathIndex {
     /// bit-identical cardinality estimates.
     pub fn histogram_counts_where(
         &self,
-        keep: &dyn Fn(&StoredPath) -> bool,
+        keep: &dyn Fn(&PathRef<'_>) -> bool,
     ) -> Vec<(Vec<u16>, Vec<u32>)> {
         let grid = &self.config.hist_grid;
-        let mut out: Vec<(Vec<u16>, Vec<u32>)> = Vec::new();
-        for (seq, sb) in &self.map {
-            let mut counts = vec![0u32; grid.len()];
-            let mut any = false;
-            for b in &sb.buckets {
-                for e in b {
-                    if !keep(e) {
-                        continue;
-                    }
-                    any = true;
-                    let p = e.prob();
-                    for (i, &g) in grid.iter().enumerate() {
-                        if p >= g {
-                            counts[i] += 1;
-                        }
-                    }
-                }
-            }
-            if any {
-                out.push((seq.clone(), counts));
-            }
-        }
+        let mut out: Vec<(Vec<u16>, Vec<u32>)> = self
+            .map
+            .iter()
+            .filter_map(|(seq, sb)| Some((seq.clone(), sb.hist_counts(grid, keep)?)))
+            .collect();
         out.sort_unstable_by(|a, b| a.0.cmp(&b.0));
         out
     }
@@ -302,20 +413,11 @@ impl PathIndex {
         let start_bucket = self.config.bucket_of(min_prob).saturating_sub(1);
         let mut out = Vec::new();
         for b in &sb.buckets[start_bucket..] {
-            for e in b {
+            for e in b.iter(sb.stride) {
                 if e.prob() + 1e-12 < min_prob {
                     continue;
                 }
-                match orient {
-                    Orientation::Forward => out.push(to_match(e, false)),
-                    Orientation::Reverse => out.push(to_match(e, true)),
-                    Orientation::Palindrome => {
-                        out.push(to_match(e, false));
-                        if e.nodes.len() > 1 {
-                            out.push(to_match(e, true));
-                        }
-                    }
-                }
+                push_matches(&mut out, e, orient);
             }
         }
         out
@@ -343,20 +445,29 @@ impl PathIndex {
             labels.len(),
         )
     }
-
-    /// Iterates all canonical sequences with their entries (persistence).
-    pub(crate) fn iter_sequences(&self) -> impl Iterator<Item = (&Vec<u16>, &SeqBuckets)> {
-        self.map.iter()
-    }
 }
 
-fn to_match(e: &StoredPath, reverse: bool) -> PathMatch {
-    let nodes: Vec<EntityId> = if reverse {
-        e.nodes.iter().rev().map(|&n| EntityId(n)).collect()
-    } else {
-        e.nodes.iter().map(|&n| EntityId(n)).collect()
+/// Appends the directed matches of stored entry `e` for a lookup whose
+/// sequence has orientation `orient` (both directions for palindromes).
+pub(crate) fn push_matches(out: &mut Vec<PathMatch>, e: PathRef<'_>, orient: Orientation) {
+    let to_match = |reverse: bool| {
+        let nodes: Vec<EntityId> = if reverse {
+            e.nodes.iter().rev().map(|&n| EntityId(n)).collect()
+        } else {
+            e.nodes.iter().map(|&n| EntityId(n)).collect()
+        };
+        PathMatch { nodes, prle: e.prle, prn: e.prn }
     };
-    PathMatch { nodes, prle: e.prle, prn: e.prn }
+    match orient {
+        Orientation::Forward => out.push(to_match(false)),
+        Orientation::Reverse => out.push(to_match(true)),
+        Orientation::Palindrome => {
+            out.push(to_match(false));
+            if e.nodes.len() > 1 {
+                out.push(to_match(true));
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -384,7 +495,7 @@ mod tests {
     fn insert_lookup_direction_handling() {
         let mut idx = PathIndex::empty(PathIndexConfig::default());
         // Canonical sequence [1,2,3] with a path 10-11-12.
-        idx.insert(vec![1, 2, 3], StoredPath { nodes: vec![10, 11, 12], prle: 0.8, prn: 1.0 });
+        idx.insert(&[1, 2, 3], PathRef { nodes: &[10, 11, 12], prle: 0.8, prn: 1.0 });
         idx.rebuild_histograms();
 
         let fwd = idx.lookup(&[Label(1), Label(2), Label(3)], 0.5);
@@ -402,14 +513,14 @@ mod tests {
     #[test]
     fn palindrome_yields_both_directions() {
         let mut idx = PathIndex::empty(PathIndexConfig::default());
-        idx.insert(vec![1, 2, 1], StoredPath { nodes: vec![5, 6, 7], prle: 0.9, prn: 1.0 });
+        idx.insert(&[1, 2, 1], PathRef { nodes: &[5, 6, 7], prle: 0.9, prn: 1.0 });
         idx.rebuild_histograms();
         let got = idx.lookup(&[Label(1), Label(2), Label(1)], 0.1);
         assert_eq!(got.len(), 2);
         assert_ne!(got[0].nodes, got[1].nodes);
         // Single nodes are not doubled.
         let mut idx2 = PathIndex::empty(PathIndexConfig::default());
-        idx2.insert(vec![4], StoredPath { nodes: vec![9], prle: 1.0, prn: 1.0 });
+        idx2.insert(&[4], PathRef { nodes: &[9], prle: 1.0, prn: 1.0 });
         assert_eq!(idx2.lookup(&[Label(4)], 0.5).len(), 1);
     }
 
@@ -417,10 +528,7 @@ mod tests {
     fn estimate_uses_histogram_and_palindrome_factor() {
         let mut idx = PathIndex::empty(PathIndexConfig::default());
         for i in 0..10 {
-            idx.insert(
-                vec![1, 2, 1],
-                StoredPath { nodes: vec![i, i + 100, i + 200], prle: 0.55, prn: 1.0 },
-            );
+            idx.insert(&[1, 2, 1], PathRef { nodes: &[i, i + 100, i + 200], prle: 0.55, prn: 1.0 });
         }
         idx.rebuild_histograms();
         let est = idx.estimate_count(&[Label(1), Label(2), Label(1)], 0.5);

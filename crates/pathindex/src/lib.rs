@@ -8,8 +8,12 @@
 //! `⟨label sequence, probability bucket⟩` where buckets have resolution `γ`;
 //! the paper's two-level structure (hash on the label sequence, B+-tree on
 //! the probability) maps to a hash map over canonical label sequences whose
-//! values are bucketed entry lists in memory, and to composite-key ranges in
-//! a [`kvstore::BTreeStore`] on disk ([`disk`]).
+//! values are probability buckets in memory, and to composite-key ranges in
+//! a [`kvstore::BTreeStore`] on disk ([`disk`]). Each bucket is
+//! struct-of-arrays — every entry's nodes in one `Vec<u32>` at a stride of
+//! the sequence length, plus parallel `prle` and `prn` vectors — read
+//! through the borrowed [`PathRef`] view, so an index is a few thousand
+//! vectors rather than one heap object per entry.
 //!
 //! Undirected symmetry is folded: a path is stored only under the canonical
 //! orientation of its label sequence (ties broken on node ids), and lookups
@@ -28,7 +32,7 @@ mod index;
 pub use build::{build_index, enumerate_paths_online, update_index};
 pub use index::{
     canonical_label_seq, estimate_from_counts, IdentityOracle, NoIdentity, PathIndex,
-    PathIndexConfig, PathMatch, StoredPath,
+    PathIndexConfig, PathMatch, PathRef,
 };
 
 /// Default histogram grid (the paper's "selected probability points").

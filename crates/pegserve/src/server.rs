@@ -1149,6 +1149,8 @@ fn op_update_graph(state: &ServerState, r: &proto::UpdateGraph) -> Result<Json, 
             let up = pegmatch::live::apply_ops(&builder, &entry.opts, refs, peg, offline, &r.ops)
                 .map_err(peg_error_reply)?;
             let (n_dirty, reused) = (up.n_dirty(), up.reused_components);
+            state.metrics.histogram("update.index_us").record(up.index.stats.index_time);
+            state.metrics.histogram("update.context_us").record(up.index.stats.context_time);
             let store = GraphStore::Unsharded { peg: up.peg, offline: up.index };
             (store, up.refs, n_dirty, 0, reused)
         }
@@ -1201,6 +1203,12 @@ fn op_update_graph(state: &ServerState, r: &proto::UpdateGraph) -> Result<Json, 
     if let Some(cache) = &state.exec_cache {
         cache.invalidate_epoch(entry.epoch);
     }
+    // Release the retired entry before the stamp: when no session still
+    // holds it, this op frees the old snapshot, and that time counts.
+    drop(entry);
+    drop(resolved);
+    let update_time = t0.elapsed();
+    state.metrics.histogram("update.total_us").record(update_time);
     Ok(obj()
         .field("ok", true)
         .field("graph", next.name.as_str())
@@ -1213,7 +1221,7 @@ fn op_update_graph(state: &ServerState, r: &proto::UpdateGraph) -> Result<Json, 
         .field("n_dirty", n_dirty)
         .field("rebuilt_shards", rebuilt_shards)
         .field("reused_components", reused_components)
-        .field("update_us", t0.elapsed().as_micros() as u64)
+        .field("update_us", update_time.as_micros() as u64)
         .build())
 }
 
@@ -2304,6 +2312,17 @@ mod tests {
         let g = &stats.get("graphs").unwrap().as_arr().unwrap()[0];
         assert_eq!(g.get("live"), Some(&Json::Bool(true)), "{stats}");
         assert_eq!(g.get("version").and_then(Json::as_u64), Some(1), "{stats}");
+        // Metrics split the write's time: one sample each of the whole op,
+        // the index delta and the context rebuild.
+        let reply = client.request(&Json::parse(r#"{"op":"metrics"}"#).unwrap()).unwrap();
+        let hists = reply.get("metrics").unwrap().get("histograms").unwrap().as_arr().unwrap();
+        for name in ["update.total_us", "update.index_us", "update.context_us"] {
+            let h = hists
+                .iter()
+                .find(|h| h.get("name").and_then(Json::as_str) == Some(name))
+                .unwrap_or_else(|| panic!("{name} missing: {reply}"));
+            assert_eq!(h.get("count").and_then(Json::as_u64), Some(1), "{reply}");
+        }
         fresh_handle.shutdown().unwrap();
         handle.shutdown().unwrap();
     }

@@ -245,7 +245,7 @@ impl ShardedGraphStore {
         for shard in &shards {
             merge_histogram(
                 &mut hist,
-                shard.offline.paths.histogram_counts_where(&|sp| shard.is_home_stored(&sp.nodes)),
+                shard.offline.paths.histogram_counts_where(&|sp| shard.is_home_stored(sp.nodes)),
             );
         }
 
@@ -614,7 +614,7 @@ impl ShardedGraphStore {
                     shard
                         .offline
                         .paths
-                        .histogram_counts_where(&|sp| shard.is_home_stored(&sp.nodes)),
+                        .histogram_counts_where(&|sp| shard.is_home_stored(sp.nodes)),
                 );
             }
             let per_shard: Vec<ShardInfo> = shards

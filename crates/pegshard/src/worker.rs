@@ -175,7 +175,7 @@ impl WorkerShard {
     }
 
     fn shard_histogram(shard: &Shard) -> crate::wire::HistogramEntries {
-        shard.offline.paths.histogram_counts_where(&|sp| shard.is_home_stored(&sp.nodes))
+        shard.offline.paths.histogram_counts_where(&|sp| shard.is_home_stored(sp.nodes))
     }
 
     /// Size and ownership breakdown of this shard (latest version).

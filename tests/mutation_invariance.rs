@@ -5,17 +5,21 @@
 //! scratch — across shard counts, thread counts, and `run` /
 //! `run_limited` / `run_topk` — and the epoch-stamped execution cache
 //! never serves a pre-mutation retrieval after the mutation (the
-//! post-mutation query must miss, asserted in cache stats).
+//! post-mutation query must miss, asserted in cache stats). On the
+//! unsharded path the patched path index itself must also equal a fresh
+//! build: same counts and histograms, and per (sequence, bucket) the same
+//! multiset of entries.
 
 use datagen::{random_query, synthetic_refgraph, QuerySpec, SyntheticConfig};
 use graphstore::{GraphOp, RefGraph, RefId};
-use pathindex::PathIndexConfig;
+use pathindex::{PathIndex, PathIndexConfig};
 use pegmatch::matcher::Match;
 use pegmatch::model::PegBuilder;
 use pegmatch::offline::{OfflineIndex, OfflineOptions};
 use pegmatch::online::{ExecCache, PlanCache, QueryOptions, QueryPipeline};
 use pegshard::ShardedGraphStore;
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// SplitMix64 — a tiny deterministic generator for op drawing, so a
@@ -125,6 +129,36 @@ fn assert_bit_identical(got: &[Match], want: &[Match], ctx: &str) -> Result<(), 
     Ok(())
 }
 
+/// Entries of `idx` per (canonical sequence, bucket) as sorted
+/// (nodes, `prle` bits, `prn` bits) triples.
+type EntryMultisets = BTreeMap<(Vec<u16>, usize), Vec<(Vec<u32>, u64, u64)>>;
+
+fn entry_multisets(idx: &PathIndex) -> EntryMultisets {
+    let mut out = EntryMultisets::new();
+    for (seq, bucket, e) in idx.entries() {
+        out.entry((seq.to_vec(), bucket)).or_default().push((
+            e.nodes.to_vec(),
+            e.prle.to_bits(),
+            e.prn.to_bits(),
+        ));
+    }
+    out.values_mut().for_each(|v| v.sort_unstable());
+    out
+}
+
+/// A patched index holds exactly what a fresh build holds; only the order
+/// of entries within a bucket may differ.
+fn assert_same_index(got: &PathIndex, want: &PathIndex, ctx: &str) -> Result<(), TestCaseError> {
+    prop_assert_eq!(got.n_entries(), want.n_entries(), "{}: n_entries", ctx);
+    prop_assert_eq!(got.n_sequences(), want.n_sequences(), "{}: n_sequences", ctx);
+    let (got_entries, want_entries) = (entry_multisets(got), entry_multisets(want));
+    prop_assert!(got_entries == want_entries, "{}: entries per (sequence, bucket)", ctx);
+    for (seq, _) in want_entries.keys() {
+        prop_assert_eq!(got.histogram(seq), want.histogram(seq), "{}: histogram {:?}", ctx, seq);
+    }
+    Ok(())
+}
+
 proptest! {
     // Each case compiles several graphs; a moderate count keeps the suite
     // within tier-1 budget while still sweeping ops × shards × threads.
@@ -135,13 +169,17 @@ proptest! {
         shards in 1usize..=3,
         threads in prop::sample::select(vec![1usize, 0]),
         alpha in prop::sample::select(vec![0.05, 0.2]),
+        max_len in prop::sample::select(vec![1usize, 2, 3]),
         seed in 0u64..1_000_000,
     ) {
         let cfg = SyntheticConfig { seed, ..SyntheticConfig::paper_with_uncertainty(n_refs, 0.3) };
         let refs0 = synthetic_refgraph(&cfg);
         let builder = PegBuilder::new();
+        // A higher β at L = 3 keeps that index to tens of thousands of
+        // entries, so a debug-build case stays within seconds.
+        let beta = if max_len == 3 { 0.2 } else { 0.05 };
         let opts = OfflineOptions {
-            index: PathIndexConfig { max_len: 2, beta: 0.05, ..Default::default() },
+            index: PathIndexConfig { max_len, beta, ..Default::default() },
         };
         let run_opts = QueryOptions { threads, ..Default::default() };
         let n_labels = refs0.label_table().len();
@@ -185,6 +223,7 @@ proptest! {
                 let fresh_index = OfflineIndex::build(&fresh_peg, &opts).unwrap();
                 prop_assert_eq!(peg.graph.n_nodes(), fresh_peg.graph.n_nodes());
                 prop_assert_eq!(peg.graph.n_edges(), fresh_peg.graph.n_edges());
+                assert_same_index(&index.paths, &fresh_index.paths, "delta index")?;
                 let fresh = QueryPipeline::new(&fresh_peg, &fresh_index);
 
                 // The mutated generation gets a fresh epoch; the old one

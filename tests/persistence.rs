@@ -103,3 +103,72 @@ fn disk_index_lookups_match_memory() {
     }
     assert!(kv.len() > 0);
 }
+
+/// Identity oracle for the format pin: every third node is uncertain, so
+/// entries carry `Prn < 1` and spread across more buckets.
+struct ThirdsUncertain;
+
+impl pathindex::IdentityOracle for ThirdsUncertain {
+    fn prn(&self, nodes: &[graphstore::EntityId]) -> f64 {
+        nodes.iter().filter(|v| v.0 % 3 == 0).fold(1.0, |p, _| p * 0.85)
+    }
+}
+
+/// FNV-1a digest of `save_index` output (length-prefixed keys and values,
+/// in key order) for a fixed 9-node graph built with `threads` workers,
+/// plus the key and entry counts.
+fn saved_index_digest(threads: usize) -> (usize, usize, u64) {
+    use graphstore::dist::{EdgeProbability, LabelDist};
+    use graphstore::{EntityGraphBuilder, Label, LabelTable, RefId};
+
+    let table = LabelTable::from_names(["x", "y", "z"]);
+    let n = table.len();
+    let mut b = EntityGraphBuilder::new(table);
+    let vs: Vec<_> = (0..9u32)
+        .map(|i| {
+            let labels = if i % 4 == 1 {
+                LabelDist::from_pairs(&[(Label(0), 0.6), (Label(2), 0.4)], n)
+            } else {
+                LabelDist::delta(Label((i % 3) as u16), n)
+            };
+            b.add_node(labels, vec![RefId(i)])
+        })
+        .collect();
+    for (i, w) in vs.windows(2).enumerate() {
+        b.add_edge(w[0], w[1], EdgeProbability::Independent(0.95 - 0.05 * i as f64));
+    }
+    for (u, v, p) in [(0, 4, 0.7), (2, 7, 0.55), (3, 8, 0.9), (1, 6, 0.35)] {
+        b.add_edge(vs[u], vs[v], EdgeProbability::Independent(p));
+    }
+    let g = b.build();
+    let cfg = PathIndexConfig { max_len: 3, beta: 0.1, threads, ..Default::default() };
+    let idx = pathindex::build_index(&g, &ThirdsUncertain, &cfg);
+
+    let mut kv = MemStore::new();
+    save_index(&idx, &mut kv).unwrap();
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut eat = |bytes: &[u8]| {
+        for &x in (bytes.len() as u32).to_le_bytes().iter().chain(bytes) {
+            h = (h ^ x as u64).wrapping_mul(0x0100_0000_01b3);
+        }
+    };
+    let mut n_keys = 0usize;
+    kv.scan(None, None, &mut |k, v| {
+        eat(k);
+        eat(v);
+        n_keys += 1;
+        true
+    })
+    .unwrap();
+    (n_keys, idx.n_entries(), h)
+}
+
+/// `save_index` output is pinned byte for byte: the `"M"`, `"S"`, `"H"`
+/// and `"P" seq bucket n` keys, their values and their order, for a
+/// sequential and a three-worker build. A change to the in-memory layout
+/// must not change what lands on disk.
+#[test]
+fn saved_index_bytes_are_pinned() {
+    assert_eq!(saved_index_digest(1), (184, 101, 0xaf93_1ff1_6e36_37cb));
+    assert_eq!(saved_index_digest(3), (184, 101, 0x1117_7302_249a_c2e4));
+}
