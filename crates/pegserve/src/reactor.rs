@@ -40,7 +40,7 @@
 //! a best-effort `overloaded` line and are closed.
 
 use crate::json::obj;
-use crate::server::{dispatch, ServerState, MAX_LINE_BYTES};
+use crate::server::{dispatch, reply_clock, ServerState, MAX_LINE_BYTES};
 use std::collections::HashMap;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -254,9 +254,14 @@ impl Conn {
         self.out_pos < self.out.len()
     }
 
-    fn queue_reply(&mut self, text: &str) {
-        self.out.extend_from_slice(text.as_bytes());
-        self.out.push(b'\n');
+    /// Queues one encoded reply line (newline included). With nothing
+    /// else pending, the line's buffer becomes `out` as it is, uncopied.
+    fn queue_reply(&mut self, line: String) {
+        if self.out.is_empty() {
+            self.out = line.into_bytes();
+        } else {
+            self.out.extend_from_slice(line.as_bytes());
+        }
     }
 
     /// Non-blocking drain of the write buffer. Returns `false` when the
@@ -298,7 +303,7 @@ impl Conn {
 }
 
 fn error_line(code: &str, message: &str) -> String {
-    obj().field("ok", false).field("error", code).field("message", message).build().to_string()
+    obj().field("ok", false).field("error", code).field("message", message).build().to_line()
 }
 
 /// Serves the bound listener on the epoll readiness loop until shutdown.
@@ -311,7 +316,7 @@ pub(crate) fn serve_epoll(listener: TcpListener, state: Arc<ServerState>) -> std
     ep.add(listener.as_raw_fd(), TOKEN_LISTENER, sys::EPOLLIN)?;
     ep.add(wake.fd, TOKEN_WAKE, sys::EPOLLIN)?;
 
-    // Executor pool: framed lines in, finished reply text out. Workers
+    // Executor pool: framed lines in, finished reply lines out. Workers
     // exit when the job sender drops at loop exit.
     type Completions = Arc<Mutex<Vec<(u64, String)>>>;
     let completions: Completions = Arc::new(Mutex::new(Vec::new()));
@@ -330,7 +335,13 @@ pub(crate) fn serve_epoll(listener: TcpListener, state: Arc<ServerState>) -> std
                     // while executing.
                     let job = rx.lock().unwrap().recv();
                     let Ok((token, line)) = job else { break };
-                    let reply = dispatch(&st, &line).to_string();
+                    let reply = dispatch(&st, &line);
+                    // `serve.reply_us` here ends with the encode: the
+                    // event loop writes the bytes whenever the socket
+                    // takes them.
+                    let t0 = reply_clock();
+                    let reply = reply.to_line();
+                    st.metrics.histogram("serve.reply_us").record(t0.elapsed());
                     done.lock().unwrap().push((token, reply));
                     wk.signal();
                 }
@@ -396,8 +407,7 @@ pub(crate) fn serve_epoll(listener: TcpListener, state: Arc<ServerState>) -> std
                                 // (the fresh socket buffer almost always
                                 // takes it), then close.
                                 let mut s = stream;
-                                let mut text = error_line("overloaded", "connection limit reached");
-                                text.push('\n');
+                                let text = error_line("overloaded", "connection limit reached");
                                 let _ = s.write_all(text.as_bytes());
                                 continue;
                             }
@@ -436,7 +446,7 @@ pub(crate) fn serve_epoll(listener: TcpListener, state: Arc<ServerState>) -> std
                                         // The stream cannot be
                                         // resynchronized past an over-cap
                                         // line: answer and close.
-                                        conn.queue_reply(&error_line(
+                                        conn.queue_reply(error_line(
                                             "bad_request",
                                             "request line too long",
                                         ));
@@ -474,7 +484,7 @@ pub(crate) fn serve_epoll(listener: TcpListener, state: Arc<ServerState>) -> std
         for (token, reply) in finished {
             let Some(conn) = conns.get_mut(&token) else { continue };
             conn.busy = false;
-            conn.queue_reply(&reply);
+            conn.queue_reply(reply);
             advance(conn, token, &jobs_tx);
             if !conn.try_flush() {
                 dead.push(token);

@@ -122,7 +122,7 @@
 //! and is honored only when [`ServerConfig::allow_debug_sleep`] is set.
 
 use crate::admission::Admission;
-use crate::json::{obj, Json};
+use crate::json::{obj, write_num, Json};
 use crate::proto::{self, ProtoError};
 use crate::statsjson;
 use graphstore::RefGraph;
@@ -138,6 +138,7 @@ use pegshard::{
     wire as shard_wire, ShardedGraphStore, TcpTransport, TcpTransportConfig, WorkerShard,
 };
 use pegtrace::{MetricsRegistry, SpanNode, Tracer};
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -347,7 +348,7 @@ pub(crate) struct ServerState {
     /// tests and embedders run several servers in one process and each
     /// `metrics` reply must describe only its own). Dumped by the
     /// `metrics` op in [`statsjson::metrics_json`]'s schema.
-    metrics: MetricsRegistry,
+    pub(crate) metrics: MetricsRegistry,
     /// Trace-id source for `explain` and any future traced op. A plain
     /// counter, not a random id: ids only need to be unique per server,
     /// and they must stay below 2^53 to survive the JSON number type.
@@ -507,8 +508,7 @@ impl Server {
                 let mut stream = stream;
                 let _ = stream.set_nodelay(true);
                 let _ = stream.set_write_timeout(Some(Duration::from_secs(1)));
-                let mut text = error_reply("overloaded", "connection limit reached").0.to_string();
-                text.push('\n');
+                let text = error_reply("overloaded", "connection limit reached").0.to_line();
                 let _ = stream.write_all(text.as_bytes()).and_then(|_| stream.flush());
                 continue;
             }
@@ -607,15 +607,36 @@ pub const MAX_LINE_BYTES: usize = 1 << 20;
 /// better slowed than disconnected.
 const MAX_INFLIGHT_PER_CONN: usize = 64;
 
-/// One framed reply write: the whole line (newline included) leaves in a
-/// single `write_all` + flush under the lock. Overlapped id'd requests
-/// interleave replies on one socket *as lines*, never as bytes — and a
-/// single syscall per reply is also the no-Nagle latency contract.
-fn write_reply(writer: &Mutex<TcpStream>, reply: &Json) -> bool {
-    let mut text = reply.to_string();
-    text.push('\n');
+thread_local! {
+    /// When this thread's current query stopped its `elapsed_us` clock
+    /// (set by [`note_query`]). Dispatch and encode of one request run
+    /// on one thread in both front ends, so the reply's match lists,
+    /// built after that point, count toward `serve.reply_us`.
+    static REPLY_CLOCK: Cell<Option<Instant>> = const { Cell::new(None) };
+}
+
+/// Start of the `serve.reply_us` interval for the reply this thread just
+/// dispatched: where its query's `elapsed_us` stopped, or now for replies
+/// without one.
+pub(crate) fn reply_clock() -> Instant {
+    REPLY_CLOCK.take().unwrap_or_else(Instant::now)
+}
+
+/// One framed reply write: the whole line (newline included) is encoded
+/// into one buffer and leaves in a single `write_all` + flush under the
+/// lock. Overlapped id'd requests interleave replies on one socket *as
+/// lines*, never as bytes — and a single syscall per reply is also the
+/// no-Nagle latency contract. Building the reply plus the write is
+/// recorded as `serve.reply_us`: the part of a request `elapsed_us`
+/// leaves out.
+fn write_reply(state: &ServerState, writer: &Mutex<TcpStream>, reply: &Json) -> bool {
+    let t0 = reply_clock();
+    let text = reply.to_line();
     let mut w = writer.lock().unwrap();
-    w.write_all(text.as_bytes()).and_then(|_| w.flush()).is_ok()
+    let ok = w.write_all(text.as_bytes()).and_then(|_| w.flush()).is_ok();
+    drop(w);
+    state.metrics.histogram("serve.reply_us").record(t0.elapsed());
+    ok
 }
 
 fn handle_connection(stream: TcpStream, state: &Arc<ServerState>) {
@@ -673,7 +694,8 @@ fn handle_connection(stream: TcpStream, state: &Arc<ServerState>) {
         if buf.len() > MAX_LINE_BYTES {
             // Over the cap (the allowance ran out before a newline): the
             // stream cannot be resynchronized, so reply and close.
-            let _ = write_reply(&writer, &error_reply("bad_request", "request line too long").0);
+            let _ =
+                write_reply(state, &writer, &error_reply("bad_request", "request line too long").0);
             break;
         }
         if !buf.ends_with(b"\n") && !eof {
@@ -699,18 +721,18 @@ fn handle_connection(stream: TcpStream, state: &Arc<ServerState>) {
                     let wr = Arc::clone(&writer);
                     inflight.push(std::thread::spawn(move || {
                         let reply = attach_id(dispatch_parsed(&st, &req), Some(id));
-                        let _ = write_reply(&wr, &reply);
+                        let _ = write_reply(&st, &wr, &reply);
                     }));
                 }
                 Ok((req, None)) => {
                     // No id: strict FIFO request/reply order, in line with
                     // pre-id clients.
-                    if !write_reply(&writer, &dispatch_parsed(state, &req)) {
+                    if !write_reply(state, &writer, &dispatch_parsed(state, &req)) {
                         break;
                     }
                 }
                 Err(Reply(reply)) => {
-                    if !write_reply(&writer, &reply) {
+                    if !write_reply(state, &writer, &reply) {
                         break;
                     }
                 }
@@ -1272,9 +1294,9 @@ fn op_prepare(state: &ServerState, r: &proto::Prepare) -> Result<Json, Reply> {
         .build())
 }
 
-/// Per-query bookkeeping shared by every query-shaped op: bumps the
-/// served counter, records the op's latency histogram in the metrics
-/// registry, and — when the server has a slow-query threshold and this
+/// Per-query bookkeeping shared by every query-shaped op: starts the
+/// `serve.reply_us` clock, bumps the served counter, records the op's
+/// latency histogram in the metrics registry, and — when the server has a slow-query threshold and this
 /// query crossed it — writes one structured JSON line to stderr, so an
 /// operator can grep offenders out of a server log without any
 /// proportional overhead on the fast path.
@@ -1289,6 +1311,7 @@ struct QueryNote<'a> {
 }
 
 fn note_query(state: &ServerState, note: QueryNote<'_>, elapsed: Duration) {
+    REPLY_CLOCK.set(Some(Instant::now()));
     state.queries_served.fetch_add(note.count, Ordering::Relaxed);
     state.metrics.counter("serve.queries").add(note.count);
     state.metrics.histogram(&format!("serve.{}_us", note.op)).record(elapsed);
@@ -1465,26 +1488,39 @@ fn op_explain(state: &ServerState, r: &proto::Explain) -> Result<Json, Reply> {
         .build())
 }
 
-/// Encodes a result's match list: `{"nodes":[...],"prle":..,"prn":..,
-/// "prob":..}` per match, f64s bit-exact on the JSON round trip.
+/// Encodes a result's match list as `{"nodes":[...],"prle":..,"prn":..,
+/// "prob":..}` per match, streamed into one pre-sized buffer instead of
+/// a `Json` tree (six heap objects per match). Numbers go through
+/// [`write_num`], so the bytes equal what the tree writer prints for the
+/// same values and every f64 survives the JSON round trip bit-exactly.
 fn matches_json(result: &QueryResult) -> Json {
-    Json::Arr(
-        result
-            .matches
-            .iter()
-            .map(|m| {
-                obj()
-                    .field(
-                        "nodes",
-                        Json::Arr(m.nodes.iter().map(|e| Json::Num(e.0 as f64)).collect()),
-                    )
-                    .field("prle", m.prle)
-                    .field("prn", m.prn)
-                    .field("prob", m.prob())
-                    .build()
-            })
-            .collect(),
-    )
+    fn num(out: &mut String, n: f64) {
+        write_num(out, n).expect("writing to a String cannot fail");
+    }
+    let per_node = result.matches.first().map_or(0, |m| 8 * m.nodes.len());
+    let mut out = String::with_capacity(2 + result.matches.len() * (100 + per_node));
+    out.push('[');
+    for (i, m) in result.matches.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str("{\"nodes\":[");
+        for (j, e) in m.nodes.iter().enumerate() {
+            if j > 0 {
+                out.push(',');
+            }
+            num(&mut out, e.0 as f64);
+        }
+        out.push_str("],\"prle\":");
+        num(&mut out, m.prle);
+        out.push_str(",\"prn\":");
+        num(&mut out, m.prn);
+        out.push_str(",\"prob\":");
+        num(&mut out, m.prob());
+        out.push('}');
+    }
+    out.push(']');
+    Json::Raw(out)
 }
 
 /// Rewraps a per-item validation error with the item's index, keeping
@@ -1691,6 +1727,9 @@ mod tests {
         let n = reply.get("n").unwrap().as_usize().unwrap();
         assert_eq!(reply.get("matches").unwrap().as_arr().unwrap().len(), n);
         assert_eq!(reply.get("plan_from_cache"), Some(&Json::Bool(false)));
+        // Every reply written so far (the ping and the query) left one
+        // `serve.reply_us` sample: the time `elapsed_us` leaves out.
+        assert_eq!(reply_us_count(&mut client), Some(2));
 
         // The isomorphic renumbering hits the shared plan cache.
         let reply = client
@@ -1710,6 +1749,65 @@ mod tests {
         let bye = client.request(&Json::parse(r#"{"op":"shutdown"}"#).unwrap()).unwrap();
         assert_eq!(bye.get("ok"), Some(&Json::Bool(true)));
         handle.shutdown().unwrap();
+    }
+
+    /// Samples in the server's `serve.reply_us` histogram, read over the
+    /// wire (`None` when the histogram does not exist).
+    fn reply_us_count(client: &mut Client) -> Option<u64> {
+        let reply = client.request(&Json::parse(r#"{"op":"metrics"}"#).unwrap()).unwrap();
+        let hists = reply.get("metrics")?.get("histograms")?.as_arr()?;
+        let h =
+            hists.iter().find(|h| h.get("name").and_then(Json::as_str) == Some("serve.reply_us"));
+        h?.get("count").and_then(Json::as_u64)
+    }
+
+    /// The tree encoder the streamed [`matches_json`] replaced, verbatim:
+    /// the oracle for its bytes.
+    fn matches_json_tree(result: &QueryResult) -> Json {
+        Json::Arr(
+            result
+                .matches
+                .iter()
+                .map(|m| {
+                    obj()
+                        .field(
+                            "nodes",
+                            Json::Arr(m.nodes.iter().map(|e| Json::Num(e.0 as f64)).collect()),
+                        )
+                        .field("prle", m.prle)
+                        .field("prn", m.prn)
+                        .field("prob", m.prob())
+                        .build()
+                })
+                .collect(),
+        )
+    }
+
+    #[test]
+    fn streamed_matches_equal_the_tree_encoding() {
+        use graphstore::EntityId;
+        use pegmatch::matcher::Match;
+        // Served results are compared end to end in
+        // `tests/reply_encoding.rs`; this covers the empty list and the
+        // number spellings real queries rarely reach.
+        let mut result =
+            QueryResult { matches: Vec::new(), truncated: false, stats: Default::default() };
+        assert_eq!(matches_json(&result).to_string(), "[]");
+        for (prle, prn) in [
+            (0.7357912, 1.0 / 3.0),
+            (-0.0, 1.0),
+            (0.0, f64::MIN_POSITIVE / 4.0),
+            (1e-300, 0.1 + 0.2),
+            (1.0, 9.0e15 + 1.0),
+            (f64::MAX, 2.0),
+            (f64::NAN, f64::INFINITY),
+        ] {
+            let nodes = vec![EntityId(0), EntityId(u32::MAX), EntityId(7)];
+            result.matches.push(Match { nodes, prle, prn });
+            let streamed = matches_json(&result);
+            assert!(matches!(streamed, Json::Raw(_)));
+            assert_eq!(streamed.to_string(), matches_json_tree(&result).to_string());
+        }
     }
 
     #[test]
@@ -2484,6 +2582,8 @@ mod tests {
         assert_eq!(reply.get("id").and_then(Json::as_u64), Some(11), "{reply}");
         let n = reply.get("n").unwrap().as_usize().unwrap();
         assert_eq!(reply.get("matches").unwrap().as_arr().unwrap().len(), n);
+        // Each reply is encoded off the event loop and timed there.
+        assert_eq!(reply_us_count(&mut client), Some(2));
         // Structured protocol errors, same as thread mode.
         let bad = client.request_line("this is not json").unwrap();
         assert!(bad.contains("\"error\":\"bad_request\""), "{bad}");

@@ -11,8 +11,13 @@
 //! formatting of an `f64` prints the shortest string that parses back to
 //! the identical bits, and the parser reads numbers with `str::parse`,
 //! so probabilities survive a protocol round trip bit-exactly.
+//!
+//! [`write_num`] is the one place that decides how a number is spelled;
+//! an encoder that streams text without building a tree (such as the
+//! server's match lists) calls it too and hands the result over as a
+//! [`Json::Raw`], so both paths put the same bytes on the wire.
 
-use std::fmt;
+use std::fmt::{self, Write};
 
 /// A JSON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -30,6 +35,10 @@ pub enum Json {
     /// An object (insertion-ordered; duplicate keys keep the last value on
     /// lookup, mirroring common parsers).
     Obj(Vec<(String, Json)>),
+    /// Pre-encoded JSON text the writer copies verbatim. The parser never
+    /// produces it; whoever builds one guarantees the text is exactly one
+    /// compact JSON value, spelled the way this writer would spell it.
+    Raw(String),
 }
 
 impl Json {
@@ -106,6 +115,25 @@ impl Json {
             return Err(p.err("trailing characters"));
         }
         Ok(v)
+    }
+
+    /// The compact serialization followed by `\n`: one protocol line in
+    /// one buffer, sized up front for the [`Json::Raw`] text it carries.
+    pub fn to_line(&self) -> String {
+        let mut line = String::with_capacity(self.raw_len() + 256);
+        write!(line, "{self}").expect("writing to a String cannot fail");
+        line.push('\n');
+        line
+    }
+
+    /// Bytes of [`Json::Raw`] text inside this value.
+    fn raw_len(&self) -> usize {
+        match self {
+            Json::Raw(text) => text.len(),
+            Json::Arr(items) => items.iter().map(Json::raw_len).sum(),
+            Json::Obj(fields) => fields.iter().map(|(_, v)| v.raw_len()).sum(),
+            _ => 0,
+        }
     }
 }
 
@@ -425,39 +453,60 @@ impl<'a> Parser<'a> {
     }
 }
 
-fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
-    f.write_str("\"")?;
-    for c in s.chars() {
-        match c {
-            '"' => f.write_str("\\\"")?,
-            '\\' => f.write_str("\\\\")?,
-            '\n' => f.write_str("\\n")?,
-            '\r' => f.write_str("\\r")?,
-            '\t' => f.write_str("\\t")?,
-            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-            c => write!(f, "{c}")?,
+fn write_escaped(out: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
+    out.write_char('"')?;
+    // Every byte that needs an escape is ASCII, so each unescaped run
+    // ends on a char boundary and is copied as one slice.
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let escape = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            b if b < 0x20 => "",
+            _ => continue,
+        };
+        out.write_str(&s[run..i])?;
+        if escape.is_empty() {
+            write!(out, "\\u{b:04x}")?;
+        } else {
+            out.write_str(escape)?;
         }
+        run = i + 1;
     }
-    f.write_str("\"")
+    out.write_str(&s[run..])?;
+    out.write_char('"')
+}
+
+/// Writes the JSON spelling of `n`: `null` for non-finite values (JSON
+/// has no representation for them), integral values below 9e15 through
+/// the integer formatter, everything else through `{}`, the shortest
+/// text that parses back to the same bits.
+pub fn write_num<W: Write + ?Sized>(out: &mut W, n: f64) -> fmt::Result {
+    // The integer fast path must skip -0.0: `0` would parse back as
+    // +0.0, breaking the bit-exact round trip ("-0" keeps it).
+    let integral = n.fract() == 0.0 && n.abs() < 9.0e15 && !(n == 0.0 && n.is_sign_negative());
+    if !n.is_finite() {
+        out.write_str("null")
+    } else if integral {
+        write!(out, "{}", n as i64)
+    } else {
+        write!(out, "{n}")
+    }
 }
 
 impl fmt::Display for Json {
-    /// Compact serialization (no whitespace). Non-finite numbers serialize
-    /// as `null` (JSON has no representation for them).
+    /// Compact serialization (no whitespace); numbers as [`write_num`]
+    /// spells them.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Json::Null => f.write_str("null"),
             Json::Bool(b) => write!(f, "{b}"),
-            Json::Num(n) if !n.is_finite() => f.write_str("null"),
-            // The integer fast path must skip -0.0: `0` would parse back
-            // as +0.0, breaking the bit-exact round trip ("-0" keeps it).
-            Json::Num(n)
-                if n.fract() == 0.0 && n.abs() < 9.0e15 && !(*n == 0.0 && n.is_sign_negative()) =>
-            {
-                write!(f, "{}", *n as i64)
-            }
-            Json::Num(n) => write!(f, "{n}"),
+            Json::Num(n) => write_num(f, *n),
             Json::Str(s) => write_escaped(f, s),
+            Json::Raw(text) => f.write_str(text),
             Json::Arr(items) => {
                 f.write_str("[")?;
                 for (i, v) in items.iter().enumerate() {
@@ -536,6 +585,56 @@ mod tests {
     }
 
     #[test]
+    fn write_num_spells_numbers_as_the_tree_writer_did() {
+        // The number arms of the writer before `write_num` existed,
+        // verbatim: the spelling every earlier reply used.
+        struct Old(f64);
+        impl fmt::Display for Old {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                match &self.0 {
+                    n if !n.is_finite() => f.write_str("null"),
+                    n if n.fract() == 0.0
+                        && n.abs() < 9.0e15
+                        && !(*n == 0.0 && n.is_sign_negative()) =>
+                    {
+                        write!(f, "{}", *n as i64)
+                    }
+                    n => write!(f, "{n}"),
+                }
+            }
+        }
+        for x in [
+            -0.0,
+            0.0,
+            f64::MIN_POSITIVE / 4.0,
+            1e-300,
+            0.1 + 0.2,
+            1.0,
+            9.0e15 - 1.0,
+            9.0e15,
+            9.0e15 + 1.0,
+            -9.0e15 + 1.0,
+            f64::MAX,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ] {
+            let mut text = String::new();
+            write_num(&mut text, x).unwrap();
+            assert_eq!(text, Old(x).to_string(), "{x:e}");
+            assert_eq!(Json::Num(x).to_string(), text, "{x:e}");
+        }
+    }
+
+    #[test]
+    fn raw_text_is_written_verbatim_and_lines_end_once() {
+        let v = obj().field("ok", true).field("matches", Json::Raw("[{\"a\":-0}]".into())).build();
+        assert_eq!(v.to_string(), r#"{"ok":true,"matches":[{"a":-0}]}"#);
+        assert_eq!(v.to_line(), format!("{v}\n"));
+        assert_eq!(v.get("matches").and_then(Json::as_arr), None);
+    }
+
+    #[test]
     fn nesting_depth_is_bounded() {
         // A deep-but-legal document parses...
         let deep = format!("{}1{}", "[".repeat(Json::MAX_DEPTH), "]".repeat(Json::MAX_DEPTH));
@@ -583,6 +682,7 @@ mod tests {
 
     #[test]
     fn strings_round_trip_through_the_encoder() {
+        let long = "é😀 run \"q\" \\ \u{1}\n".repeat(50_000);
         for s in [
             "",
             "plain",
@@ -591,10 +691,15 @@ mod tests {
             "é😀 multi-byte, then ascii",
             "😀",
             "ends with escape\n",
+            &long,
         ] {
             let text = Json::Str(s.into()).to_string();
-            assert_eq!(Json::parse(&text).unwrap(), Json::Str(s.into()), "{text}");
+            assert_eq!(Json::parse(&text).unwrap(), Json::Str(s.into()), "{} bytes", text.len());
         }
+        assert_eq!(
+            Json::Str("é😀 run \"q\" \\ \u{1}\n".into()).to_string(),
+            r#""é😀 run \"q\" \\ \u0001\n""#
+        );
         // Escapes the encoder does not emit still decode.
         assert_eq!(
             Json::parse(r#""a\/b\u00e9\ud83d\ude00c""#).unwrap(),
